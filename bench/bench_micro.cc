@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the analysis substrates: parsing,
-// IR lowering, liveness fix points, Andersen's points-to, Myers diff, and
-// blame replay. These are ablation-style measurements for DESIGN.md's design
-// choices (per-function analysis, snapshot storage with diff-based blame).
+// IR lowering, liveness fix points, Andersen's points-to, Myers diff, blame
+// replay, and .vchist loading. These are ablation-style measurements for
+// DESIGN.md's design choices (per-function analysis, snapshot storage with
+// diff-based blame).
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/detector.h"
 #include "src/core/project.h"
+#include "src/corpus/generator.h"
+#include "src/corpus/profile.h"
 #include "src/dataflow/define_sets.h"
 #include "src/dataflow/liveness.h"
 #include "src/ir/ir_builder.h"
@@ -14,6 +17,7 @@
 #include "src/pointer/andersen.h"
 #include "src/support/rng.h"
 #include "src/vcs/diff.h"
+#include "src/vcs/history_io.h"
 #include "src/vcs/repository.h"
 
 namespace {
@@ -145,6 +149,28 @@ void BM_MyersDiff(benchmark::State& state) {
 }
 BENCHMARK(BM_MyersDiff)->Arg(100)->Arg(1000);
 
+// The shape blame replays most often: a large file with a few scattered line
+// edits. Edit distance stays tiny while N + M is large, which is where a
+// trace of full V-array copies per step used to dominate.
+void BM_MyersDiffLargeFileSmallEdit(benchmark::State& state) {
+  std::vector<std::string> a;
+  for (int i = 0; i < state.range(0); ++i) {
+    a.push_back("  stmt_" + std::to_string(i) + "();");
+  }
+  std::vector<std::string> b = a;
+  const size_t n = b.size();
+  b[n / 4] = "  changed();";
+  b.insert(b.begin() + static_cast<long>(n / 2), "  inserted();");
+  b.erase(b.begin() + static_cast<long>(3 * n / 4));
+  std::vector<std::string_view> av(a.begin(), a.end());
+  std::vector<std::string_view> bv(b.begin(), b.end());
+  for (auto _ : state) {
+    auto edits = vc::DiffLines(av, bv);
+    benchmark::DoNotOptimize(edits.size());
+  }
+}
+BENCHMARK(BM_MyersDiffLargeFileSmallEdit)->Arg(2000)->Arg(20000);
+
 void BM_BlameReplay(benchmark::State& state) {
   vc::Repository repo;
   vc::AuthorId author = repo.AddAuthor("dev");
@@ -159,6 +185,22 @@ void BM_BlameReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlameReplay)->Arg(20)->Arg(100);
+
+// Parses the .vchist text of one calibrated paper application (mysql, scaled
+// by the argument in percent) back into a Repository.
+void BM_LoadHistory(benchmark::State& state) {
+  vc::GeneratedApp app =
+      vc::GenerateApp(vc::MysqlProfile().Scaled(static_cast<double>(state.range(0)) / 100.0));
+  const std::string text = vc::SaveHistory(app.repo);
+  for (auto _ : state) {
+    std::string error;
+    auto repo = vc::LoadHistory(text, &error);
+    benchmark::DoNotOptimize(repo->NumCommits());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_LoadHistory)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -121,7 +121,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
   {
     TraceSpan span("authorship", "pipeline");
     RunEvent("stage_start").Str("stage", "authorship").Emit();
-    AuthorshipAnalyzer authorship(project, repo);
+    AuthorshipAnalyzer authorship(project, repo, kInvalidCommit, options_.jobs);
     authorship.ClassifyAll(candidates);
     RunEvent("stage_end").Str("stage", "authorship").Emit();
   }

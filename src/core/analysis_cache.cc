@@ -2,8 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "src/support/file_io.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 #include "src/support/metrics.h"
@@ -142,14 +142,18 @@ bool AnalysisCache::LoadFromDisk(const std::string& path, uint64_t content_hash,
     return false;
   }
   const std::string disk_path = DiskPath(path);
-  std::ifstream in(disk_path, std::ios::binary);
-  if (!in) {
-    return false;  // plain miss: never cached
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  std::string text;
   std::string error;
-  std::optional<JsonValue> doc = ParseJson(buffer.str(), &error);
+  if (!ReadWholeFile(disk_path, &text, &error)) {
+    std::error_code ec;
+    if (!std::filesystem::exists(disk_path, ec)) {
+      return false;  // plain miss: never cached
+    }
+    ++stats_.disk_corrupt;
+    quarantine.push_back({path, "", "cache", "corrupt cache entry: " + error, ""});
+    return false;
+  }
+  std::optional<JsonValue> doc = ParseJson(text, &error);
   if (!doc || !doc->IsObject()) {
     ++stats_.disk_corrupt;
     quarantine.push_back(

@@ -1,23 +1,57 @@
 #include "src/core/authorship.h"
 
+#include <string_view>
+#include <unordered_map>
+
+#include "src/support/thread_pool.h"
+
 namespace vc {
 
+AuthorshipAnalyzer::AuthorshipAnalyzer(const Project& project, const Repository* repo,
+                                       CommitId at_commit, int jobs)
+    : project_(project) {
+  if (repo == nullptr) {
+    return;
+  }
+  const SourceManager& sources = project.sources();
+  const size_t n = static_cast<size_t>(sources.NumFiles());
+  blame_.resize(n);
+  if (at_commit != kInvalidCommit) {
+    historical_.resize(n);
+  }
+  // Blame each distinct path once, so concurrent Repository::Blame calls
+  // always advance different cache entries; a repeated path (possible only
+  // for hand-built source sets) shares its first occurrence's result.
+  std::vector<size_t> first(n);
+  std::vector<size_t> distinct;
+  std::unordered_map<std::string_view, size_t> seen;
+  for (size_t file = 0; file < n; ++file) {
+    auto [it, inserted] = seen.try_emplace(sources.Path(static_cast<FileId>(file)), file);
+    first[file] = it->second;
+    if (inserted) {
+      distinct.push_back(file);
+    }
+  }
+  ParallelFor(jobs, distinct.size(), [&](size_t i) {
+    const size_t file = distinct[i];
+    const std::string& path = sources.Path(static_cast<FileId>(file));
+    if (at_commit == kInvalidCommit) {
+      blame_[file] = &repo->Blame(path);
+    } else {
+      historical_[file] = repo->BlameAt(path, at_commit);
+      blame_[file] = &historical_[file];
+    }
+  });
+  for (size_t file = 0; file < n; ++file) {
+    blame_[file] = blame_[first[file]];
+  }
+}
+
 AuthorId AuthorshipAnalyzer::AuthorOfLoc(const SourceLoc& loc) const {
-  if (repo_ == nullptr || !loc.IsValid() || loc.file >= project_.sources().NumFiles()) {
+  if (!loc.IsValid() || loc.file >= static_cast<FileId>(blame_.size())) {
     return kInvalidAuthor;
   }
-  const std::string& path = project_.sources().Path(loc.file);
-  const std::vector<LineOrigin>* blame_ptr;
-  if (at_commit_ == kInvalidCommit) {
-    blame_ptr = &repo_->Blame(path);
-  } else {
-    auto it = blame_cache_.find(path);
-    if (it == blame_cache_.end()) {
-      it = blame_cache_.emplace(path, repo_->BlameAt(path, at_commit_)).first;
-    }
-    blame_ptr = &it->second;
-  }
-  const std::vector<LineOrigin>& blame = *blame_ptr;
+  const std::vector<LineOrigin>& blame = *blame_[loc.file];
   int index = loc.line - 1;
   if (index < 0 || index >= static_cast<int>(blame.size())) {
     return kInvalidAuthor;

@@ -26,9 +26,13 @@ class AuthorshipAnalyzer {
   // as cross-scope except library return values. When `at_commit` is given,
   // blame is evaluated at that commit instead of head (incremental analysis
   // sees the history as of the commit under analysis).
+  //
+  // Construction blames every project file up front, across `jobs` lanes of
+  // the thread pool, into a per-file table; classification then only reads
+  // it. Head blame lives in the repository's cache, so later stages that
+  // call Repository::Blame (stale-code pruning) reuse it.
   AuthorshipAnalyzer(const Project& project, const Repository* repo,
-                     CommitId at_commit = kInvalidCommit)
-      : project_(project), repo_(repo), at_commit_(at_commit) {}
+                     CommitId at_commit = kInvalidCommit, int jobs = 1);
 
   // Author of the line containing `loc` per blame, or kInvalidAuthor.
   AuthorId AuthorOfLoc(const SourceLoc& loc) const;
@@ -51,10 +55,10 @@ class AuthorshipAnalyzer {
   void ClassifyGeneric(UnusedDefCandidate& cand) const;
 
   const Project& project_;
-  const Repository* repo_;
-  CommitId at_commit_ = kInvalidCommit;
-  // Historical blame results are recomputed per path, so cache them.
-  mutable std::map<std::string, std::vector<LineOrigin>> blame_cache_;
+  // Per FileId: the file's blame, or null when there is no repository.
+  std::vector<const std::vector<LineOrigin>*> blame_;
+  // Owns the historical (at_commit) results that blame_ points into.
+  std::vector<std::vector<LineOrigin>> historical_;
 };
 
 }  // namespace vc

@@ -139,8 +139,8 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   {
     TraceSpan span("incremental.sync", "pipeline");
     for (const std::string& path : pending_) {
-      std::optional<std::string> head = repo_.Head(path);
-      if (!head.has_value()) {
+      const std::string* head = repo_.FindHead(path);
+      if (head == nullptr) {
         // Deleted (or never-created) path: tombstone and forget.
         if (auto it = file_functions_.find(path); it != file_functions_.end()) {
           changed_functions.insert(it->second.begin(), it->second.end());
@@ -167,7 +167,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
         changed_functions.insert(it->second.begin(), it->second.end());
       }
       FileId file =
-          project_.UpsertFile(path, std::move(*head), opt.config, &opt.fault, &opt.budget);
+          project_.UpsertFile(path, *head, opt.config, &opt.fault, &opt.budget);
       entry.content_hash = hash;
       entry.functions.clear();
       FileCacheEntry loaded;

@@ -20,10 +20,7 @@ Project Project::FromRepository(const Repository& repo, Config config, int jobs,
   Project project;
   std::vector<std::pair<std::string, std::string>> files;
   for (const std::string& path : repo.ListFiles()) {
-    std::optional<std::string> content = repo.Head(path);
-    if (content.has_value()) {
-      files.emplace_back(path, std::move(*content));
-    }
+    files.emplace_back(path, *repo.FindHead(path));
   }
   project.CompileAll(std::move(files), config, jobs, fault, budget);
   return project;
@@ -35,9 +32,8 @@ Project Project::FromRepositoryAt(const Repository& repo, CommitId commit, Confi
   Project project;
   std::vector<std::pair<std::string, std::string>> files;
   for (const std::string& path : repo.ListFiles()) {
-    std::optional<std::string> content = repo.FileAt(path, commit);
-    if (content.has_value()) {
-      files.emplace_back(path, std::move(*content));
+    if (const std::string* content = repo.FindFileAt(path, commit)) {
+      files.emplace_back(path, *content);
     }
   }
   project.CompileAll(std::move(files), config, jobs, fault, budget);

@@ -46,8 +46,8 @@ ProjectAnalyzeOutcome ProjectHost::Analyze(
     }
   }
   for (const auto& [path, content] : snapshot) {
-    std::optional<std::string> head = repo_.Head(path);
-    if (!head.has_value() || *head != content) {
+    const std::string* head = repo_.FindHead(path);
+    if (head == nullptr || *head != content) {
       changed[path] = content;
     }
   }

@@ -23,35 +23,44 @@ std::vector<Edit> DiffLines(const std::vector<std::string_view>& a,
   const int m = static_cast<int>(b.size());
   const int max_d = n + m;
 
-  // Myers' greedy algorithm. `v[k]` holds the furthest x on diagonal k; we
-  // keep a copy of v per step to backtrack the edit script. One padding slot
-  // on each side keeps the k±1 reads in bounds at the extreme diagonals
-  // (notably k = -d = max_d = 0 when both inputs are empty).
-  std::vector<std::vector<int>> trace;
+  // Myers' greedy algorithm. `v[k]` holds the furthest x on diagonal k. One
+  // padding slot on each side keeps the k±1 reads in bounds at the extreme
+  // diagonals (notably k = -d = max_d = 0 when both inputs are empty).
+  //
+  // Backtracking step d reads step d-1's v only on diagonals [-d, d], so the
+  // trace keeps just the band [-d-1, d+1] of each step — O(D^2) ints instead
+  // of O(D * (N + M)), which is what matters for small edits to large files.
+  // Step d's band starts at offset d^2 + 2d (the sum of the 2j+3 widths of
+  // steps j < d).
+  std::vector<int> trace;
   std::vector<int> v(2 * max_d + 3, 0);
-  auto vk = [&](std::vector<int>& vec, int k) -> int& { return vec[k + max_d + 1]; };
+  auto vk = [&](int k) -> int& { return v[k + max_d + 1]; };
+  auto band_at = [&](int d, int k) {
+    return trace[static_cast<size_t>(d) * d + static_cast<size_t>(3 * d + k + 1)];
+  };
 
   int final_d = -1;
   for (int d = 0; d <= max_d; ++d) {
     for (int k = -d; k <= d; k += 2) {
       int x;
-      if (k == -d || (k != d && vk(v, k - 1) < vk(v, k + 1))) {
-        x = vk(v, k + 1);  // move down (insert from b)
+      if (k == -d || (k != d && vk(k - 1) < vk(k + 1))) {
+        x = vk(k + 1);  // move down (insert from b)
       } else {
-        x = vk(v, k - 1) + 1;  // move right (delete from a)
+        x = vk(k - 1) + 1;  // move right (delete from a)
       }
       int y = x - k;
       while (x < n && y < m && a[x] == b[y]) {
         ++x;
         ++y;
       }
-      vk(v, k) = x;
+      vk(k) = x;
       if (x >= n && y >= m) {
         final_d = d;
         break;
       }
     }
-    trace.push_back(v);
+    // In bounds: |k| <= d + 1 <= max_d + 1 is exactly what the padding covers.
+    trace.insert(trace.end(), &vk(-d - 1), &vk(d + 1) + 1);
     if (final_d >= 0) {
       break;
     }
@@ -62,15 +71,14 @@ std::vector<Edit> DiffLines(const std::vector<std::string_view>& a,
   int x = n;
   int y = m;
   for (int d = final_d; d > 0; --d) {
-    std::vector<int>& prev = trace[d - 1];
     int k = x - y;
     int prev_k;
-    if (k == -d || (k != d && vk(prev, k - 1) < vk(prev, k + 1))) {
+    if (k == -d || (k != d && band_at(d - 1, k - 1) < band_at(d - 1, k + 1))) {
       prev_k = k + 1;
     } else {
       prev_k = k - 1;
     }
-    int prev_x = vk(prev, prev_k);
+    int prev_x = band_at(d - 1, prev_k);
     int prev_y = prev_x - prev_k;
     while (x > prev_x && y > prev_y) {
       reversed.push_back({EditOp::kKeep, x - 1, y - 1});

@@ -1,24 +1,64 @@
 #include "src/vcs/history_io.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 
 #include "src/support/string_util.h"
-#include "src/vcs/diff.h"
 
 namespace vc {
 
 namespace {
 
-struct Cursor {
-  std::vector<std::string_view> lines;
-  size_t index = 0;
+// Walks the history text one line at a time without materializing a line
+// table, tracking 1-based line numbers for error messages. Lines follow
+// SplitLines: "a\nb\n" and "a\nb" are both two lines.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
 
-  bool Done() const { return index >= lines.size(); }
-  std::string_view Peek() const { return lines[index]; }
-  std::string_view Take() { return lines[index++]; }
-  int LineNo() const { return static_cast<int>(index) + 1; }
+  bool Done() const { return pos_ >= text_.size(); }
+  // Number of the line the next Take() returns.
+  int LineNo() const { return line_no_; }
+  // Byte offset of the line the next Take() returns.
+  size_t Pos() const { return pos_; }
+
+  std::string_view Take() {
+    size_t eol = text_.find('\n', pos_);
+    if (eol == std::string_view::npos) {
+      eol = text_.size();
+    }
+    std::string_view line = text_.substr(pos_, eol - pos_);
+    pos_ = std::min(eol + 1, text_.size());
+    ++line_no_;
+    return line;
+  }
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+  int line_no_ = 1;
 };
+
+// Trim(line) == ">>>" without Trim's per-character locale calls: content
+// lines outnumber directives by orders of magnitude, and almost all of them
+// are rejected at their first non-blank character.
+bool IsCloseMarker(std::string_view line) {
+  auto blank = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };  // C-locale isspace
+  size_t i = 0;
+  while (i < line.size() && blank(line[i])) {
+    ++i;
+  }
+  if (line.compare(i, 3, ">>>") != 0) {
+    return false;
+  }
+  for (i += 3; i < line.size(); ++i) {
+    if (!blank(line[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 bool Fail(std::string* error, int line, const std::string& message) {
   if (error != nullptr) {
@@ -29,11 +69,10 @@ bool Fail(std::string* error, int line, const std::string& message) {
 
 }  // namespace
 
-std::optional<Repository> LoadHistory(const std::string& text, std::string* error) {
+std::optional<Repository> LoadHistory(std::string_view text, std::string* error) {
   Repository repo;
   std::map<std::string, AuthorId> authors;
-  Cursor cursor;
-  cursor.lines = SplitLines(text);
+  LineReader reader(text);
 
   auto intern_author = [&](const std::string& name) {
     auto it = authors.find(name);
@@ -45,17 +84,16 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
     return id;
   };
 
-  while (!cursor.Done()) {
-    std::string_view line = Trim(cursor.Peek());
+  while (!reader.Done()) {
+    int at = reader.LineNo();
+    std::string_view line = Trim(reader.Take());
     if (line.empty() || line.front() == '#') {
-      cursor.Take();
       continue;
     }
     if (line != "commit") {
-      Fail(error, cursor.LineNo(), "expected 'commit', got '" + std::string(line) + "'");
+      Fail(error, at, "expected 'commit', got '" + std::string(line) + "'");
       return std::nullopt;
     }
-    cursor.Take();
 
     std::string author_name;
     int64_t timestamp = 0;
@@ -64,9 +102,9 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
     std::set<std::string> deletes;
     bool ended = false;
 
-    while (!cursor.Done() && !ended) {
-      int at = cursor.LineNo();
-      std::string_view directive = Trim(cursor.Take());
+    while (!reader.Done() && !ended) {
+      at = reader.LineNo();
+      std::string_view directive = Trim(reader.Take());
       if (directive.empty() || directive.front() == '#') {
         continue;
       }
@@ -82,37 +120,37 @@ std::optional<Repository> LoadHistory(const std::string& text, std::string* erro
         deletes.insert(std::string(Trim(directive.substr(7))));
       } else if (directive.rfind("write ", 0) == 0) {
         std::string path(Trim(directive.substr(6)));
-        if (cursor.Done() || Trim(cursor.Take()) != "<<<") {
+        if (reader.Done() || Trim(reader.Take()) != "<<<") {
           Fail(error, at, "expected '<<<' after 'write " + path + "'");
           return std::nullopt;
         }
-        std::string content;
+        // Every line before the closing ">>>" line ends in a newline, so the
+        // block's content is exactly the text between the two marker lines.
+        const size_t begin = reader.Pos();
         bool closed = false;
-        while (!cursor.Done()) {
-          std::string_view content_line = cursor.Take();
-          if (Trim(content_line) == ">>>") {
+        while (!reader.Done()) {
+          const size_t line_start = reader.Pos();
+          if (IsCloseMarker(reader.Take())) {
+            writes[path] = std::string(text.substr(begin, line_start - begin));
             closed = true;
             break;
           }
-          content += std::string(content_line);
-          content += '\n';
         }
         if (!closed) {
           Fail(error, at, "unterminated content block for '" + path + "'");
           return std::nullopt;
         }
-        writes[path] = std::move(content);
       } else {
         Fail(error, at, "unknown directive '" + std::string(directive) + "'");
         return std::nullopt;
       }
     }
     if (!ended) {
-      Fail(error, cursor.LineNo(), "commit block missing 'end'");
+      Fail(error, reader.LineNo(), "commit block missing 'end'");
       return std::nullopt;
     }
     if (author_name.empty()) {
-      Fail(error, cursor.LineNo(), "commit block missing 'author'");
+      Fail(error, reader.LineNo(), "commit block missing 'author'");
       return std::nullopt;
     }
     repo.AddCommit(intern_author(author_name), timestamp, std::move(message),

@@ -22,6 +22,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/vcs/repository.h"
 
@@ -29,7 +30,7 @@ namespace vc {
 
 // Parses `text`; on failure returns nullopt and fills *error with a
 // line-numbered message.
-std::optional<Repository> LoadHistory(const std::string& text, std::string* error);
+std::optional<Repository> LoadHistory(std::string_view text, std::string* error);
 
 std::string SaveHistory(const Repository& repo);
 

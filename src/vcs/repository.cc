@@ -4,6 +4,20 @@
 
 namespace vc {
 
+Repository::Repository(const Repository& other)
+    : authors_(other.authors_), commits_(other.commits_), file_log_(other.file_log_) {
+  for (const auto& [path, log] : file_log_) {
+    blame_cache_.try_emplace(path);
+  }
+}
+
+Repository& Repository::operator=(const Repository& other) {
+  if (this != &other) {
+    *this = Repository(other);
+  }
+  return *this;
+}
+
 AuthorId Repository::AddAuthor(std::string name) {
   authors_.push_back({std::move(name)});
   return static_cast<AuthorId>(authors_.size() - 1);
@@ -33,18 +47,20 @@ CommitId Repository::AddCommit(AuthorId author, int64_t timestamp, std::string m
   // the new entries.
   for (const auto& [path, content] : commit.files) {
     file_log_[path].push_back(commit.id);
+    blame_cache_.try_emplace(path);
   }
   for (const std::string& path : commit.deleted) {
     file_log_[path].push_back(commit.id);
+    blame_cache_.try_emplace(path);
   }
   commits_.push_back(std::move(commit));
   return commits_.back().id;
 }
 
-std::optional<std::string> Repository::FileAt(const std::string& path, CommitId commit) const {
+const std::string* Repository::FindFileAt(const std::string& path, CommitId commit) const {
   auto it = file_log_.find(path);
   if (it == file_log_.end()) {
-    return std::nullopt;
+    return nullptr;
   }
   // Walk the per-file log backwards to the newest touch <= commit.
   const std::vector<CommitId>& log = it->second;
@@ -54,27 +70,37 @@ std::optional<std::string> Repository::FileAt(const std::string& path, CommitId 
     }
     const Commit& c = commits_[log[i]];
     if (c.deleted.count(path) > 0) {
-      return std::nullopt;
+      return nullptr;
     }
     auto file_it = c.files.find(path);
     if (file_it != c.files.end()) {
-      return file_it->second;
+      return &file_it->second;
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+const std::string* Repository::FindHead(const std::string& path) const {
+  if (commits_.empty()) {
+    return nullptr;
+  }
+  return FindFileAt(path, static_cast<CommitId>(commits_.size() - 1));
+}
+
+std::optional<std::string> Repository::FileAt(const std::string& path, CommitId commit) const {
+  const std::string* content = FindFileAt(path, commit);
+  return content == nullptr ? std::nullopt : std::optional<std::string>(*content);
 }
 
 std::optional<std::string> Repository::Head(const std::string& path) const {
-  if (commits_.empty()) {
-    return std::nullopt;
-  }
-  return FileAt(path, static_cast<CommitId>(commits_.size() - 1));
+  const std::string* content = FindHead(path);
+  return content == nullptr ? std::nullopt : std::optional<std::string>(*content);
 }
 
 std::vector<std::string> Repository::ListFiles() const {
   std::vector<std::string> files;
   for (const auto& [path, log] : file_log_) {
-    if (Head(path).has_value()) {
+    if (FindHead(path) != nullptr) {
       files.push_back(path);
     }
   }
@@ -101,7 +127,7 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
     const Commit& commit = commits_[commit_id];
     if (commit.deleted.count(path) > 0) {
       state.attribution.clear();
-      state.content.clear();
+      state.lines.clear();
       state.exists = false;
       continue;
     }
@@ -109,19 +135,17 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
     if (file_it == commit.files.end()) {
       continue;
     }
-    const std::string& next = file_it->second;
+    std::vector<std::string_view> next_lines = SplitLines(file_it->second);
     if (!state.exists) {
       // (Re)creation: every line belongs to this commit.
-      state.attribution.assign(SplitLines(next).size(), {commit_id, commit.author});
-      state.content = next;
+      state.attribution.assign(next_lines.size(), {commit_id, commit.author});
+      state.lines = std::move(next_lines);
       state.exists = true;
       continue;
     }
-    std::vector<std::string_view> old_lines = SplitLines(state.content);
-    std::vector<std::string_view> new_lines = SplitLines(next);
-    std::vector<Edit> edits = DiffLines(old_lines, new_lines);
+    std::vector<Edit> edits = DiffLines(state.lines, next_lines);
     std::vector<LineOrigin> next_attr;
-    next_attr.reserve(new_lines.size());
+    next_attr.reserve(next_lines.size());
     for (const Edit& edit : edits) {
       if (edit.op == EditOp::kKeep) {
         next_attr.push_back(state.attribution[edit.old_index]);
@@ -130,25 +154,24 @@ void Repository::AdvanceBlame(const std::string& path, CommitId up_to,
       }
     }
     state.attribution = std::move(next_attr);
-    state.content = next;
+    state.lines = std::move(next_lines);
   }
 }
 
-std::vector<LineOrigin> Repository::ReplayBlame(const std::string& path, CommitId up_to) const {
-  BlameReplayState state;
-  AdvanceBlame(path, up_to, state);
-  return std::move(state.attribution);
-}
-
 const std::vector<LineOrigin>& Repository::Blame(const std::string& path) const {
-  CommitId head = commits_.empty() ? kInvalidCommit : static_cast<CommitId>(commits_.size() - 1);
-  BlameReplayState& state = blame_cache_[path];
-  AdvanceBlame(path, head, state);
-  return state.attribution;
+  auto it = blame_cache_.find(path);
+  if (it == blame_cache_.end()) {
+    static const std::vector<LineOrigin> kNoLines;
+    return kNoLines;
+  }
+  AdvanceBlame(path, static_cast<CommitId>(commits_.size() - 1), it->second);
+  return it->second.attribution;
 }
 
 std::vector<LineOrigin> Repository::BlameAt(const std::string& path, CommitId commit) const {
-  return ReplayBlame(path, commit);
+  BlameReplayState state;
+  AdvanceBlame(path, commit, state);
+  return std::move(state.attribution);
 }
 
 Repository Repository::PrefixCopy(CommitId up_to) const {
@@ -173,12 +196,9 @@ std::vector<int> Repository::ChangedLines(const std::string& path, CommitId comm
     return {};
   }
   // Find the previous content.
-  std::optional<std::string> prev;
-  if (commit > 0) {
-    prev = FileAt(path, commit - 1);
-  }
+  const std::string* prev = commit > 0 ? FindFileAt(path, commit - 1) : nullptr;
   std::vector<std::string_view> new_lines = SplitLines(file_it->second);
-  if (!prev.has_value()) {
+  if (prev == nullptr) {
     std::vector<int> all(new_lines.size());
     for (size_t i = 0; i < all.size(); ++i) {
       all[i] = static_cast<int>(i) + 1;

@@ -12,10 +12,12 @@
 #define VALUECHECK_SRC_VCS_REPOSITORY_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/vcs/diff.h"
@@ -47,20 +49,16 @@ struct LineOrigin {
   AuthorId author = kInvalidAuthor;
 };
 
-// Resumable blame replay for one path: the fold state after applying a prefix
-// of the path's commit log. Advancing one commit at a time yields exactly the
-// same attribution as a from-scratch replay — this is what makes per-commit
-// incremental blame O(commit delta) instead of O(history) while staying
-// byte-identical to Blame()/BlameAt().
-struct BlameReplayState {
-  std::vector<LineOrigin> attribution;
-  std::string content;  // file content at the replay point
-  bool exists = false;
-  size_t log_index = 0;  // next entry of the path's commit log to apply
-};
-
 class Repository {
  public:
+  Repository() = default;
+  // The blame cache views this repository's own commit storage, so a copy
+  // starts with a cold cache instead of views into the source.
+  Repository(const Repository& other);
+  Repository& operator=(const Repository& other);
+  Repository(Repository&&) = default;
+  Repository& operator=(Repository&&) = default;
+
   AuthorId AddAuthor(std::string name);
   const Author& GetAuthor(AuthorId id) const { return authors_[id]; }
   int NumAuthors() const { return static_cast<int>(authors_.size()); }
@@ -75,6 +73,10 @@ class Repository {
   // File contents as of `commit` (inclusive); nullopt if absent or deleted.
   std::optional<std::string> FileAt(const std::string& path, CommitId commit) const;
   std::optional<std::string> Head(const std::string& path) const;
+  // Copy-free forms of FileAt/Head: a view of the commit's stored content, or
+  // null if absent or deleted. Valid for the repository's lifetime.
+  const std::string* FindFileAt(const std::string& path, CommitId commit) const;
+  const std::string* FindHead(const std::string& path) const;
   std::vector<std::string> ListFiles() const;
 
   // Commits that changed `path`, oldest first.
@@ -83,13 +85,10 @@ class Repository {
   // Line attribution for head (or historical) contents. One entry per line.
   // Head results are cached as resumable replay states: a commit touching the
   // path advances the cached fold instead of replaying the whole log.
+  // Blame() may run concurrently for distinct paths (each path owns its
+  // cache slot); nothing may run concurrently with AddCommit.
   const std::vector<LineOrigin>& Blame(const std::string& path) const;
   std::vector<LineOrigin> BlameAt(const std::string& path, CommitId commit) const;
-
-  // Advances `state` through every log entry of `path` with id <= up_to.
-  // Starting from a default state this reproduces BlameAt(path, up_to);
-  // callers that keep the state across commits pay only for the new entries.
-  void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
 
   // A new repository containing the same authors and commits 0..up_to — the
   // repository as it existed right after `up_to` landed. This is the baseline
@@ -104,14 +103,35 @@ class Repository {
   std::vector<int> ChangedLines(const std::string& path, CommitId commit) const;
 
  private:
-  std::vector<LineOrigin> ReplayBlame(const std::string& path, CommitId up_to) const;
+  // Resumable blame replay for one path: the fold state after applying a
+  // prefix of the path's commit log. Advancing one commit at a time yields
+  // exactly the same attribution as a from-scratch replay — this is what
+  // makes per-commit incremental blame O(commit delta) instead of O(history)
+  // while staying byte-identical to Blame()/BlameAt().
+  struct BlameReplayState {
+    std::vector<LineOrigin> attribution;
+    // Lines of the file at the replay point, split once per version. They
+    // view commit storage, which never moves: commits_ is a deque that only
+    // grows at the back, and a Commit is immutable once added.
+    std::vector<std::string_view> lines;
+    bool exists = false;
+    size_t log_index = 0;  // next entry of the path's commit log to apply
+  };
+
+  // Advances `state` through every log entry of `path` with id <= up_to.
+  // Starting from a default state this reproduces BlameAt(path, up_to);
+  // the head cache keeps its states across commits and pays only for the
+  // new entries.
+  void AdvanceBlame(const std::string& path, CommitId up_to, BlameReplayState& state) const;
 
   std::vector<Author> authors_;
-  std::vector<Commit> commits_;
+  std::deque<Commit> commits_;
   // Per path: ids of commits touching it (including deletions), oldest first.
   std::map<std::string, std::vector<CommitId>> file_log_;
-  // Head-blame cache as resumable states; Blame() advances a path's state to
-  // the current head on demand, so AddCommit never discards earlier work.
+  // Head-blame cache as resumable states, one slot per path of file_log_
+  // (created by AddCommit, so Blame() never inserts); Blame() advances a
+  // path's state to the current head on demand, so AddCommit never discards
+  // earlier work.
   mutable std::map<std::string, BlameReplayState> blame_cache_;
 };
 

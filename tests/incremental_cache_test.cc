@@ -213,6 +213,38 @@ TEST_F(IncrementalCacheTest, CorruptEntryQuarantinesAndDegradesToReparse) {
   EXPECT_EQ(result.findings()[0].slot_name, "a");
 }
 
+TEST_F(IncrementalCacheTest, UnreadableEntryQuarantinesAndDegradesToReparse) {
+  // An entry that exists but cannot be read (here: a directory in its place)
+  // is damage, not a miss: it must surface like a corrupt entry.
+  Repository repo;
+  AuthorId alice = repo.AddAuthor("alice");
+  repo.AddCommit(alice, 100, "create",
+                 {{"a.c", "int f(int x) {\n  int a = x;\n  a = 2;\n  return a;\n}\n"}});
+  AnalysisOptions options;
+  options.cross_scope_only = false;
+  IncrementalOptions inc;
+  inc.cache_dir = dir_.string();
+  IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  int replaced = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::filesystem::remove(entry.path());
+    std::filesystem::create_directory(entry.path());
+    ++replaced;
+  }
+  ASSERT_GT(replaced, 0);
+
+  IncrementalResult result = IncrementalEngine{options, inc}.AnalyzeCommit(repo, 0);
+  EXPECT_GT(result.cache.disk_corrupt, 0u);
+  bool quarantined = false;
+  for (const QuarantinedUnit& unit : result.report.quarantined) {
+    quarantined |= unit.stage == "cache" && unit.path == "a.c" &&
+                   unit.reason.find("Is a directory") != std::string::npos;
+  }
+  EXPECT_TRUE(quarantined) << "unreadable entry did not reach the quarantine channel";
+  ASSERT_EQ(result.findings().size(), 1u);
+  EXPECT_EQ(result.findings()[0].slot_name, "a");
+}
+
 TEST(IncrementalFault, InjectionMatchesFullRunAndThreadsQuarantine) {
   // Under deterministic fault injection, the incremental replay must still
   // match a full run exactly — surviving findings AND quarantine records.

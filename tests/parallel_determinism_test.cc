@@ -5,16 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/core/analysis.h"
+#include "src/core/authorship.h"
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
 #include "src/corpus/generator.h"
 #include "src/corpus/profile.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
+#include "src/testing/history_gen.h"
 
 namespace vc {
 namespace {
@@ -106,6 +109,82 @@ TEST(ParallelDeterminism, IncrementalFindingsIdenticalAcrossJobs) {
       EXPECT_EQ(result.findings()[i].kind, baseline.findings()[i].kind);
       EXPECT_EQ(result.findings()[i].fingerprint, baseline.findings()[i].fingerprint);
     }
+  }
+}
+
+// What authorship decides for each candidate, one line per candidate.
+std::string Classification(const std::vector<UnusedDefCandidate>& candidates) {
+  std::string out;
+  for (const UnusedDefCandidate& cand : candidates) {
+    out += cand.file + ":" + std::to_string(cand.def_loc.line) + ":" + cand.slot_name +
+           " cross=" + (cand.cross_scope ? "1" : "0") + " kind=" + CandidateKindName(cand.kind) +
+           " def=" + std::to_string(cand.def_author) +
+           " resp=" + std::to_string(cand.responsible_author) + "\n";
+  }
+  return out;
+}
+
+testing::HistoryGenOptions BlameHistory() {
+  testing::HistoryGenOptions options;
+  options.seed = 11;
+  options.commits = 40;
+  options.initial_modules = 6;
+  options.max_modules = 12;
+  options.authors = 4;
+  return options;
+}
+
+// Head blame is filled on the thread pool inside AuthorshipAnalyzer. Every
+// jobs value gets a cold copy of the history, so the parallel fill itself
+// (not a cache warmed by an earlier run) produces the table that
+// classification reads.
+void ExpectParallelBlameDeterministic(const Repository& history, bool expect_cross_scope) {
+  const Project project = Project::FromRepository(history);
+  std::string expected_classes;
+  std::string expected_csv;
+  for (int jobs : {1, 2, 8}) {
+    Repository repo = history;
+    AnalysisReport report = Analysis(WithJobs(jobs)).Run(project, &repo);
+    if (jobs == 1) {
+      ASSERT_FALSE(report.raw_candidates.empty());
+      expected_classes = Classification(report.raw_candidates);
+      expected_csv = report.ToCsv();
+      EXPECT_EQ(expected_classes.find("cross=1") != std::string::npos, expect_cross_scope);
+      continue;
+    }
+    EXPECT_EQ(Classification(report.raw_candidates), expected_classes) << "jobs=" << jobs;
+    EXPECT_EQ(report.ToCsv(), expected_csv) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelDeterminism, ParallelBlameClassifiesIdenticallyAcrossJobs) {
+  // A history_gen history: module rewrites, renames, deletes and re-adds, so
+  // blame replays every log shape; its authors never cross a boundary.
+  ExpectParallelBlameDeterministic(testing::GenerateHistory(BlameHistory()),
+                                   /*expect_cross_scope=*/false);
+  // A paper app, whose injected sites do cross authorship boundaries.
+  ExpectParallelBlameDeterministic(GenerateApp(NfsGaneshaProfile().Scaled(0.15)).repo,
+                                   /*expect_cross_scope=*/true);
+}
+
+TEST(ParallelDeterminism, HistoricalBlameClassifiesIdenticallyAcrossJobs) {
+  const Repository history = testing::GenerateHistory(BlameHistory());
+  const CommitId mid = history.NumCommits() / 2;
+  const Project project = Project::FromRepositoryAt(history, mid);
+  const std::vector<UnusedDefCandidate> detected =
+      Analysis(WithJobs(1)).Run(project).raw_candidates;
+  ASSERT_FALSE(detected.empty());
+  std::string expected;
+  for (int jobs : {1, 2, 8}) {
+    std::vector<UnusedDefCandidate> candidates = detected;
+    AuthorshipAnalyzer(project, &history, mid, jobs).ClassifyAll(candidates);
+    if (jobs == 1) {
+      expected = Classification(candidates);
+      ASSERT_TRUE(std::any_of(candidates.begin(), candidates.end(),
+                              [](const UnusedDefCandidate& c) { return c.def_author >= 0; }));
+      continue;
+    }
+    EXPECT_EQ(Classification(candidates), expected) << "jobs=" << jobs;
   }
 }
 

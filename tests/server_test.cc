@@ -403,11 +403,21 @@ TEST_F(ServerTest, DrainShedsQueuedWorkAndFinishesInFlight) {
   auto holder = Connect();
   ASSERT_NE(holder, nullptr);
   ASSERT_TRUE(holder->SendFrame(SimpleRequest("hold", "report", "p", 0.0, 600)));
+  // Connections are served by independent threads, so send order alone does
+  // not fix admission order: wait until the holder owns the in-flight slot
+  // before queueing behind it, and until the waiter is queued before draining.
+  for (int i = 0; i < 500 && server_->totals().inflight_high_water < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server_->totals().inflight_high_water, 1);
 
   auto queued = Connect();
   ASSERT_NE(queued, nullptr);
   ASSERT_TRUE(queued->SendFrame(SimpleRequest("queued", "report", "p")));
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  for (int i = 0; i < 500 && server_->totals().queue_high_water < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server_->totals().queue_high_water, 1);
 
   // Drain now: the queued waiter sheds with reason "draining"; the in-flight
   // holder finishes and responds.

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "src/support/diagnostics.h"
+#include "src/support/file_io.h"
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 #include "src/support/regression.h"
@@ -72,6 +76,46 @@ TEST(StringUtil, ContainsIgnoreCase) {
 }
 
 // --- SourceManager ----------------------------------------------------------
+
+TEST(FileIo, ReadsExactBytes) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string path = (dir / "vc_file_io_test.bin").string();
+  std::string bytes = "line\r\n";
+  bytes.push_back('\0');
+  bytes += std::string(200000, 'x');  // larger than the drain buffer
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  std::string text;
+  std::string error;
+  ASSERT_TRUE(ReadWholeFile(path, &text, &error)) << error;
+  EXPECT_TRUE(text == bytes);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  }
+  ASSERT_TRUE(ReadWholeFile(path, &text, &error)) << error;
+  EXPECT_TRUE(text.empty());
+  std::remove(path.c_str());
+}
+
+TEST(FileIo, ReportsMissingFilesAndDirectories) {
+  std::string text = "stale";
+  std::string error;
+  EXPECT_FALSE(ReadWholeFile("/nonexistent/vc_file_io_missing", &text, &error));
+  EXPECT_NE(error.find("cannot read /nonexistent/vc_file_io_missing"), std::string::npos);
+  error.clear();
+  EXPECT_FALSE(ReadWholeFile(std::filesystem::temp_directory_path().string(), &text, &error));
+  EXPECT_NE(error.find("Is a directory"), std::string::npos);
+}
+
+TEST(FileIo, ReadsFilesWithoutAUsableSize) {
+  // Pseudo-files report size 0 yet have content: the drain loop reads them.
+  std::string text;
+  std::string error;
+  ASSERT_TRUE(ReadWholeFile("/proc/self/status", &text, &error)) << error;
+  EXPECT_NE(text.find("Name:"), std::string::npos);
+}
 
 TEST(SourceManager, LineAccess) {
   SourceManager sm;

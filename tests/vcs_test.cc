@@ -216,6 +216,77 @@ TEST(Repository, RecreatedFileOwnedByRecreator) {
   EXPECT_EQ(blame[0].author, b);
 }
 
+TEST(Repository, FindHeadViewsStoredContentWithoutCopying) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  CommitId c1 = repo.AddCommit(a, 1, "v1", {{"f.c", "one\n"}});
+  repo.AddCommit(a, 2, "v2", {{"g.c", "g\n"}});
+  const std::string* head = repo.FindHead("f.c");
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head, &repo.GetCommit(c1).files.at("f.c"));  // the commit's own bytes
+  EXPECT_EQ(repo.FindFileAt("f.c", c1), head);
+  EXPECT_EQ(repo.FindFileAt("g.c", c1), nullptr);  // not yet created
+  EXPECT_EQ(repo.FindHead("missing.c"), nullptr);
+  repo.AddCommit(a, 3, "rm", {}, {"f.c"});
+  EXPECT_EQ(repo.FindHead("f.c"), nullptr);
+  EXPECT_EQ(repo.ListFiles(), std::vector<std::string>{"g.c"});
+  EXPECT_EQ(Repository().FindHead("f.c"), nullptr);
+}
+
+TEST(Repository, HeadBlameAdvancesAcrossManyCommits) {
+  // The cached replay state views commit storage while commits keep landing;
+  // after every commit it must equal a from-scratch replay.
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  AuthorId b = repo.AddAuthor("b");
+  std::vector<std::string> lines = {"start"};
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 == 2 && lines.size() > 1) {
+      lines.erase(lines.begin() + (i % lines.size()));
+    } else {
+      lines.insert(lines.begin() + (i % (lines.size() + 1)), "line " + std::to_string(i % 7));
+    }
+    std::string content;
+    for (const std::string& line : lines) {
+      content += line + "\n";
+    }
+    repo.AddCommit(i % 2 == 0 ? a : b, i, "c", {{"f.c", content}, {"other.c", content}});
+    if (i % 17 == 0 || i == 299) {
+      const std::vector<LineOrigin>& head = repo.Blame("f.c");
+      std::vector<LineOrigin> replay = repo.BlameAt("f.c", repo.NumCommits() - 1);
+      ASSERT_EQ(head.size(), replay.size()) << "commit " << i;
+      for (size_t k = 0; k < head.size(); ++k) {
+        EXPECT_EQ(head[k].commit, replay[k].commit) << "commit " << i << " line " << k;
+        EXPECT_EQ(head[k].author, replay[k].author);
+      }
+    }
+  }
+}
+
+TEST(Repository, CopyStartsColdAndBlamesTheSame) {
+  Repository repo;
+  AuthorId a = repo.AddAuthor("a");
+  AuthorId b = repo.AddAuthor("b");
+  repo.AddCommit(a, 1, "v1", {{"f.c", "x\ny\n"}});
+  repo.AddCommit(b, 2, "v2", {{"f.c", "x\nz\ny\n"}});
+  const std::vector<LineOrigin> original = repo.Blame("f.c");  // warm the source
+  Repository copy = repo;
+  {
+    Repository gone = repo;
+    copy = gone;  // assignment from a copy that dies before copy is used
+  }
+  const std::vector<LineOrigin>& copied = copy.Blame("f.c");
+  ASSERT_EQ(copied.size(), original.size());
+  for (size_t k = 0; k < copied.size(); ++k) {
+    EXPECT_EQ(copied[k].commit, original[k].commit);
+  }
+  // The copy keeps advancing on its own history.
+  copy.AddCommit(a, 3, "v3", {{"f.c", "w\nx\nz\ny\n"}});
+  EXPECT_EQ(copy.Blame("f.c").size(), 4u);
+  EXPECT_EQ(copy.Blame("f.c")[0].author, a);
+  EXPECT_EQ(repo.Blame("f.c").size(), 3u);
+}
+
 TEST(Repository, ChangedLinesForInsertions) {
   Repository repo;
   AuthorId a = repo.AddAuthor("a");

@@ -66,6 +66,7 @@
 #include "src/core/run_diff.h"
 #include "src/server/server.h"
 #include "src/support/events.h"
+#include "src/support/file_io.h"
 #include "src/support/logging.h"
 #include "src/support/memstats.h"
 #include "src/support/metrics.h"
@@ -82,14 +83,13 @@
 namespace {
 
 std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "valuecheck: cannot read %s\n", path.c_str());
+  std::string text;
+  std::string error;
+  if (!vc::ReadWholeFile(path, &text, &error)) {
+    std::fprintf(stderr, "valuecheck: %s\n", error.c_str());
     std::exit(2);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return text;
 }
 
 int64_t NowMs() {

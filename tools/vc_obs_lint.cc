@@ -39,12 +39,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/support/file_io.h"
 #include "src/support/json_reader.h"
 
 namespace {
@@ -305,13 +305,12 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
 // every utilization a fraction, worker ids dense from 0 — and the stable
 // top-level field order the schema promises.
 int LintPerf(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "vc_obs_lint: cannot read %s\n", path.c_str());
+  std::string raw;
+  std::string error;
+  if (!vc::ReadWholeFile(path, &raw, &error)) {
+    std::fprintf(stderr, "vc_obs_lint: %s\n", error.c_str());
     return 2;
   }
-  std::string raw((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  std::string error;
   std::optional<vc::JsonValue> value = vc::ParseJson(raw, &error);
   if (!value.has_value()) {
     return Fail(path, 1, "unparsable JSON: " + error);
