@@ -127,10 +127,8 @@ int main() {
     if (!sampled) {
       continue;
     }
-    auto start = std::chrono::steady_clock::now();
     AnalysisReport fresh = full.RunOnRepository(repo.PrefixCopy(commit));
-    double full_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const double full_seconds = fresh.analysis_seconds;
     if (equivalent && result.report.ToCsv() != fresh.ToCsv()) {
       equivalent = false;
       first_divergence = commit;

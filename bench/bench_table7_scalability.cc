@@ -31,10 +31,6 @@
 
 namespace {
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
 std::string FormatSeconds(double seconds) {
   if (seconds >= 60.0) {
     int minutes = static_cast<int>(seconds / 60.0);
@@ -56,8 +52,7 @@ struct SweepPoint {
   double best_seconds = 0.0;
   double mean_seconds = 0.0;
   size_t findings = 0;
-  double parse_seconds = 0.0;   // of the best-effort final traced rep
-  double detect_seconds = 0.0;
+  vc::StageSeconds stage_seconds;  // of the best-effort final traced rep
   vc::ThreadPoolStats pool;     // per-run delta of the traced rep
   vc::PerfReport perf;
 };
@@ -86,8 +81,7 @@ SweepPoint MeasurePoint(
   collector.Enable();
   vc::AnalysisReport traced = analysis.RunOnSources(sources);
   collector.Disable();
-  point.parse_seconds = traced.stage.parse_seconds;
-  point.detect_seconds = traced.stage.detect_seconds;
+  point.stage_seconds = traced.stage_seconds;
   point.pool = traced.stage.pool;
   vc::PerfInputs inputs;
   inputs.wall_seconds = traced.analysis_seconds;
@@ -122,9 +116,8 @@ int main() {
     double best = 1e9;
     int loc = 0;
     for (int rep = 0; rep < 3; ++rep) {
-      auto start = std::chrono::steady_clock::now();
       AnalysisReport report = analysis.RunOnRepository(app.repo);
-      best = std::min(best, Seconds(start));
+      best = std::min(best, report.analysis_seconds);
       loc = report.owned_project->TotalLines();
     }
 
@@ -256,8 +249,9 @@ int main() {
       json.Double("serial_fraction", point.perf.serial_fraction);
       json.Int("findings", static_cast<int64_t>(point.findings));
       json.Key("stages").BeginObject();
-      json.Double("parse_seconds", point.parse_seconds);
-      json.Double("detect_seconds", point.detect_seconds);
+      for (vc::PipelineStage s : vc::kPipelineStages) {
+        json.Double(std::string(vc::PipelineStageName(s)) + "_seconds", point.stage_seconds[s]);
+      }
       json.EndObject();
       json.Key("thread_pool").BeginObject();
       json.Int("workers", point.pool.workers);
@@ -276,8 +270,7 @@ int main() {
       record.jobs = jobs;
       record.metrics.collected = true;
       record.metrics.analysis_seconds = point.best_seconds;
-      record.metrics.parse_seconds = point.parse_seconds;
-      record.metrics.detect_seconds = point.detect_seconds;
+      record.metrics.stage_seconds = point.stage_seconds;
       record.metrics.pool_workers = point.pool.workers;
       record.metrics.pool_tasks = static_cast<int64_t>(point.pool.tasks_executed);
       record.metrics.pool_steals = static_cast<int64_t>(point.pool.steals);

@@ -35,6 +35,7 @@
 #include "src/core/ranking.h"
 #include "src/core/unused_def.h"
 #include "src/support/memstats.h"
+#include "src/support/stage_scope.h"
 #include "src/support/thread_pool.h"
 #include "src/vcs/repository.h"
 
@@ -68,8 +69,8 @@ struct AnalysisOptions {
   // Parallel worker lanes for parse/lower and detection. 1 = serial,
   // 0 = all hardware threads. Results are identical at any value.
   int jobs = 1;
-  // Populate AnalysisReport::stage (per-stage wall-clock, per-pattern prune
-  // counters, thread-pool activity) and feed the global MetricsRegistry.
+  // Populate AnalysisReport::stage (counters, thread-pool activity) and
+  // ::memory, and feed the global MetricsRegistry (pipeline.<stage>_seconds).
   // Findings are byte-identical with the switch on or off; the cost when off
   // is a handful of relaxed atomic loads per run.
   bool collect_metrics = false;
@@ -83,20 +84,14 @@ struct AnalysisOptions {
   FaultInjector fault;
 };
 
-// Per-stage observability block (see DESIGN.md §"Observability"). Stage
-// seconds are wall-clock; counters aggregate in slot-indexed merge order like
-// the findings merge, so every field except raw timings is deterministic at
-// any job count.
+// Per-stage observability block (see DESIGN.md §"Observability"). Counters
+// aggregate in slot-indexed merge order like the findings merge, so every
+// field except raw timings is deterministic at any job count. The per-stage
+// seconds live in AnalysisReport::stage_seconds, which every run fills.
 struct StageMetrics {
   // False when the producing run had collect_metrics off; consumers (the JSON
   // report, the CLI --metrics table) skip the block entirely.
   bool collected = false;
-  double parse_seconds = 0.0;       // parse + lower (facade-built projects)
-  double detect_seconds = 0.0;
-  double authorship_seconds = 0.0;
-  double filter_seconds = 0.0;      // cross-scope filter
-  double prune_seconds = 0.0;
-  double rank_seconds = 0.0;
   uint64_t files_parsed = 0;
   uint64_t functions_analyzed = 0;
   uint64_t candidates_detected = 0;
@@ -105,8 +100,8 @@ struct StageMetrics {
   uint64_t rank_scored = 0;
   uint64_t rank_unknown = 0;
   double rank_model_seconds = 0.0;
-  // Global-pool activity attributable to this run (delta of two snapshots;
-  // approximate if other analyses share the pool concurrently).
+  // Global-pool activity attributable to this run, parse included (delta of
+  // two snapshots; approximate if other analyses share the pool concurrently).
   ThreadPoolStats pool;
 };
 
@@ -119,11 +114,11 @@ struct AnalysisReport {
   PruneStats prune_stats;
   // Candidates surviving pruning but dropped by the cross-scope filter.
   int non_cross_scope = 0;
-  // Wall-clock timings: the whole pipeline, the parse+lower phase (when the
-  // facade built the project), and the detection phase.
+  // Wall-clock timings: the whole run (from its PipelineRun's start) and each
+  // stage of VC_FORALL_PIPELINE_STAGES (parse stays 0 when the project was
+  // built outside the run).
   double analysis_seconds = 0.0;
-  double parse_seconds = 0.0;
-  double detect_seconds = 0.0;
+  StageSeconds stage_seconds;
   // Worker lanes the report was produced with (after 0 → hardware resolution).
   int jobs = 1;
   // Front-end diagnostics of the analyzed project (merged across workers in
@@ -186,16 +181,20 @@ class Analysis {
 
   // Runs the pipeline over an already-built project. `repo` supplies
   // authorship and familiarity; pass null to skip both (all candidates then
-  // count as non-cross-scope unless cross_scope_only is disabled).
-  AnalysisReport Run(const Project& project, const Repository* repo = nullptr) const;
+  // count as non-cross-scope unless cross_scope_only is disabled). `run` is
+  // the PipelineRun the project was built in (see BuildFromSources); null
+  // starts one here, and the report then has no parse row.
+  AnalysisReport Run(const Project& project, const Repository* repo = nullptr,
+                     PipelineRun* run = nullptr) const;
 
   // Advanced entry point for the incremental engine: runs every stage after
   // detection (authorship, cross-scope filter, prune, rank, fingerprint) over
   // a detect-stage result assembled elsewhere — a mix of cached and freshly
-  // run functions. Byte-identical to Run() when `detect` holds exactly what
+  // run functions — inside the caller's `run`, whose parse and detect stages
+  // the caller timed. Byte-identical to Run() when `detect` holds exactly what
   // RunCheckers would have produced for this project.
   AnalysisReport RunWithDetect(const Project& project, const Repository* repo,
-                               CheckerRunResult detect) const;
+                               CheckerRunResult detect, PipelineRun& run) const;
 
   // Builds the project (parallel parse/lower under options().jobs and
   // options().config), then runs; the report owns the project.
@@ -215,19 +214,23 @@ class Analysis {
   IncrementalResult RunOnCommit(const Repository& repo, CommitId commit) const;
 
   // Project construction alone (no detection) with this analysis's config
-  // and jobs — for callers that inspect diagnostics before running.
-  Project BuildFromRepository(const Repository& repo) const;
-  Project BuildFromSources(
-      const std::vector<std::pair<std::string, std::string>>& files) const;
+  // and jobs, as the parse stage of `run` (null: a run of its own) — for
+  // callers that inspect diagnostics before running:
+  //
+  //   PipelineRun run(analysis.options().collect_metrics);
+  //   Project project = analysis.BuildFromSources(files, &run);
+  //   AnalysisReport report = analysis.Run(project, nullptr, &run);
+  Project BuildFromRepository(const Repository& repo, PipelineRun* run = nullptr) const;
+  Project BuildFromSources(const std::vector<std::pair<std::string, std::string>>& files,
+                           PipelineRun* run = nullptr) const;
 
  private:
-  // Folds the facade-measured parse phase into the report's StageMetrics.
-  void FinishParseMetrics(AnalysisReport& report, double parse_seconds) const;
-
   // Shared pipeline body: with `precomputed` null, runs detection itself
   // (Run); otherwise consumes the caller's detect result (RunWithDetect).
   AnalysisReport RunImpl(const Project& project, const Repository* repo,
-                         CheckerRunResult* precomputed) const;
+                         CheckerRunResult* precomputed, PipelineRun& run) const;
+  // The RunOn* body: runs over `project` and hands it to the report.
+  AnalysisReport RunOwned(PipelineRun& run, Project project, const Repository* repo) const;
 
   AnalysisOptions options_;
   // RunOnCommit's warm engine (shared_ptr: IncrementalEngine is incomplete

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -186,6 +187,40 @@ tr:hover td { background: var(--surface-2); }
 .empty { color: var(--text-secondary); padding: 24px 0; }
 )css";
 
+// One trend card: its title, decimals, and its value in one run.
+struct TrendCard {
+  std::string title;
+  int decimals;
+  std::function<double(const RunRecord&)> value;
+};
+
+// A section of trend cards over the runs carrying the `collected` block (all
+// runs when null); omitted when no run carries it.
+void TrendSection(std::string& out, const std::vector<RunRecord>& runs,
+                  bool LedgerMetrics::*collected, const std::string& title,
+                  const std::string& runs_noun, const std::vector<TrendCard>& cards) {
+  std::vector<const RunRecord*> with_block;
+  for (const RunRecord& run : runs) {
+    if (collected == nullptr || run.metrics.*collected) {
+      with_block.push_back(&run);
+    }
+  }
+  if (with_block.empty()) {
+    return;
+  }
+  out += "<h2>" + title + " (" + std::to_string(with_block.size()) + " " + runs_noun +
+         ")</h2>\n<div class=\"cards\">";
+  for (const TrendCard& card : cards) {
+    std::vector<double> series;
+    for (const RunRecord* run : with_block) {
+      series.push_back(card.value(*run));
+    }
+    out += "<div class=\"card\"><h3>" + card.title + "</h3>" +
+           Sparkline(series, card.decimals) + "</div>";
+  }
+  out += "</div>\n";
+}
+
 }  // namespace
 
 std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
@@ -252,25 +287,15 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
   out += "</div>\n";
 
   // Trends across every ledger run.
-  std::vector<double> findings_trend;
-  std::vector<double> seconds_trend;
-  std::vector<double> prune_trend;
-  std::vector<double> detect_trend;
-  std::vector<double> parse_trend;
-  for (const RunRecord& run : runs) {
-    findings_trend.push_back(static_cast<double>(run.findings.size()));
-    seconds_trend.push_back(run.metrics.analysis_seconds);
-    prune_trend.push_back(PruneRatePercent(run.metrics));
-    detect_trend.push_back(run.metrics.detect_seconds);
-    parse_trend.push_back(run.metrics.parse_seconds);
+  std::vector<TrendCard> trends = {
+      {"findings", 0, [](const RunRecord& r) { return static_cast<double>(r.findings.size()); }},
+      {"analysis seconds", 3, [](const RunRecord& r) { return r.metrics.analysis_seconds; }},
+      {"prune rate %", 1, [](const RunRecord& r) { return PruneRatePercent(r.metrics); }}};
+  for (PipelineStage s : kPipelineStages) {
+    trends.push_back({std::string(PipelineStageName(s)) + " seconds", 3,
+                      [s](const RunRecord& r) { return r.metrics.stage_seconds[s]; }});
   }
-  out += "<h2>Trends (" + std::to_string(runs.size()) + " runs)</h2>\n<div class=\"cards\">";
-  out += "<div class=\"card\"><h3>findings</h3>" + Sparkline(findings_trend, 0) + "</div>";
-  out += "<div class=\"card\"><h3>analysis seconds</h3>" + Sparkline(seconds_trend, 3) + "</div>";
-  out += "<div class=\"card\"><h3>prune rate %</h3>" + Sparkline(prune_trend, 1) + "</div>";
-  out += "<div class=\"card\"><h3>parse seconds</h3>" + Sparkline(parse_trend, 3) + "</div>";
-  out += "<div class=\"card\"><h3>detect seconds</h3>" + Sparkline(detect_trend, 3) + "</div>";
-  out += "</div>\n";
+  TrendSection(out, runs, nullptr, "Trends", "runs", trends);
 
   // Per-checker trends: findings count and precision (surviving findings /
   // raw candidates). Series are built per checker name over the runs that
@@ -314,50 +339,25 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
 
   // Memory trends over the runs that collected accounting (--metrics). The
   // tracked series is exact and deterministic; peak RSS is a per-run sample.
-  std::vector<double> mem_tracked_mb;
-  std::vector<double> mem_rss_mb;
-  for (const RunRecord& run : runs) {
-    if (!run.metrics.mem_collected) {
-      continue;
-    }
-    mem_tracked_mb.push_back(static_cast<double>(run.metrics.mem_tracked_bytes) / 1e6);
-    mem_rss_mb.push_back(static_cast<double>(run.metrics.mem_peak_rss_bytes) / 1e6);
-  }
-  if (!mem_tracked_mb.empty()) {
-    out += "<h2>Memory (" + std::to_string(mem_tracked_mb.size()) +
-           " run(s) with accounting)</h2>\n<div class=\"cards\">";
-    out += "<div class=\"card\"><h3>tracked MB (exact)</h3>" + Sparkline(mem_tracked_mb, 2) +
-           "</div>";
-    out += "<div class=\"card\"><h3>peak RSS MB (sampled)</h3>" + Sparkline(mem_rss_mb, 1) +
-           "</div>";
-    out += "</div>\n";
-  }
+  auto mb = [](int64_t bytes) { return static_cast<double>(bytes) / 1e6; };
+  TrendSection(
+      out, runs, &LedgerMetrics::mem_collected, "Memory", "run(s) with accounting",
+      {{"tracked MB (exact)", 2,
+        [&](const RunRecord& r) { return mb(r.metrics.mem_tracked_bytes); }},
+       {"peak RSS MB (sampled)", 1,
+        [&](const RunRecord& r) { return mb(r.metrics.mem_peak_rss_bytes); }}});
 
   // Scalability observatory: utilization/imbalance/critical-path trends over
   // the runs that produced a perf report (--perf-report or the scalability
   // bench). Pre-v3 records carry no perf block and contribute no points.
-  std::vector<double> util_trend;
-  std::vector<double> imbalance_trend;
-  std::vector<double> critical_trend;
-  for (const RunRecord& run : runs) {
-    if (!run.metrics.perf_collected) {
-      continue;
-    }
-    util_trend.push_back(100.0 * run.metrics.perf_utilization);
-    imbalance_trend.push_back(run.metrics.perf_imbalance_ratio);
-    critical_trend.push_back(run.metrics.perf_critical_path_seconds);
-  }
-  if (!util_trend.empty()) {
-    out += "<h2>Scalability (" + std::to_string(util_trend.size()) +
-           " run(s) with perf reports)</h2>\n<div class=\"cards\">";
-    out += "<div class=\"card\"><h3>worker utilization % (mean)</h3>" +
-           Sparkline(util_trend, 1) + "</div>";
-    out += "<div class=\"card\"><h3>imbalance (max/mean busy)</h3>" +
-           Sparkline(imbalance_trend, 2) + "</div>";
-    out += "<div class=\"card\"><h3>critical path seconds</h3>" +
-           Sparkline(critical_trend, 3) + "</div>";
-    out += "</div>\n";
-  }
+  TrendSection(
+      out, runs, &LedgerMetrics::perf_collected, "Scalability", "run(s) with perf reports",
+      {{"worker utilization % (mean)", 1,
+        [](const RunRecord& r) { return 100.0 * r.metrics.perf_utilization; }},
+       {"imbalance (max/mean busy)", 2,
+        [](const RunRecord& r) { return r.metrics.perf_imbalance_ratio; }},
+       {"critical path seconds", 3,
+        [](const RunRecord& r) { return r.metrics.perf_critical_path_seconds; }}});
 
   // Incremental engine: full-vs-incremental trend over the runs that carry
   // the v4 metrics.incremental block (`analyze --incremental` replays and
@@ -365,75 +365,35 @@ std::string RenderHtmlDashboard(const std::vector<RunRecord>& runs) {
   // holds the sampled full-run time, so the two seconds cards together are
   // the full-vs-incremental comparison; hit rate and dirty-slice cards track
   // whether the cache keeps doing the work.
-  std::vector<double> inc_seconds_trend;
-  std::vector<double> inc_full_trend;
-  std::vector<double> inc_hit_trend;
-  std::vector<double> inc_dirty_trend;
-  for (const RunRecord& run : runs) {
-    if (!run.metrics.inc_collected) {
-      continue;
-    }
-    inc_seconds_trend.push_back(run.metrics.inc_seconds);
-    inc_full_trend.push_back(run.metrics.analysis_seconds);
-    inc_hit_trend.push_back(100.0 * run.metrics.inc_cache_hit_rate);
-    inc_dirty_trend.push_back(
-        run.metrics.inc_functions_total > 0
-            ? 100.0 * static_cast<double>(run.metrics.inc_functions_dirty) /
-                  static_cast<double>(run.metrics.inc_functions_total)
-            : 0.0);
-  }
-  if (!inc_seconds_trend.empty()) {
-    out += "<h2>Incremental engine (" + std::to_string(inc_seconds_trend.size()) +
-           " incremental run(s))</h2>\n<div class=\"cards\">";
-    out += "<div class=\"card\"><h3>incremental seconds per commit</h3>" +
-           Sparkline(inc_seconds_trend, 4) + "</div>";
-    out += "<div class=\"card\"><h3>full-run seconds (same commits)</h3>" +
-           Sparkline(inc_full_trend, 4) + "</div>";
-    out += "<div class=\"card\"><h3>detect cache hit rate %</h3>" +
-           Sparkline(inc_hit_trend, 1) + "</div>";
-    out += "<div class=\"card\"><h3>dirty slice % of functions</h3>" +
-           Sparkline(inc_dirty_trend, 1) + "</div>";
-    out += "</div>\n";
-  }
+  auto percent = [](int64_t part, int64_t whole) {
+    return whole > 0 ? 100.0 * static_cast<double>(part) / static_cast<double>(whole) : 0.0;
+  };
+  TrendSection(
+      out, runs, &LedgerMetrics::inc_collected, "Incremental engine", "incremental run(s)",
+      {{"incremental seconds per commit", 4,
+        [](const RunRecord& r) { return r.metrics.inc_seconds; }},
+       {"full-run seconds (same commits)", 4,
+        [](const RunRecord& r) { return r.metrics.analysis_seconds; }},
+       {"detect cache hit rate %", 1,
+        [](const RunRecord& r) { return 100.0 * r.metrics.inc_cache_hit_rate; }},
+       {"dirty slice % of functions", 1, [&](const RunRecord& r) {
+          return percent(r.metrics.inc_functions_dirty, r.metrics.inc_functions_total);
+        }}});
 
   // Serve envelope: latency/throughput/robustness trends over the runs that
   // carry the v5 serve block (`valuecheck serve` drains and vc_loadgen
   // reports). Shed/degraded/deadline are plotted as a percentage of requests
   // so bursts of different sizes stay comparable.
-  std::vector<double> serve_qps_trend;
-  std::vector<double> serve_p50_trend;
-  std::vector<double> serve_p99_trend;
-  std::vector<double> serve_nonok_trend;
-  for (const RunRecord& run : runs) {
-    const LedgerMetrics& m = run.metrics;
-    if (!m.serve_collected) {
-      continue;
-    }
-    serve_qps_trend.push_back(m.serve_qps);
-    serve_p50_trend.push_back(m.serve_p50_ms);
-    serve_p99_trend.push_back(m.serve_p99_ms);
-    const double requests = static_cast<double>(m.serve_requests);
-    serve_nonok_trend.push_back(
-        requests > 0
-            ? 100.0 *
-                  static_cast<double>(m.serve_shed + m.serve_degraded +
-                                      m.serve_deadline + m.serve_failed) /
-                  requests
-            : 0.0);
-  }
-  if (!serve_qps_trend.empty()) {
-    out += "<h2>Serve envelope (" + std::to_string(serve_qps_trend.size()) +
-           " run(s) with serve blocks)</h2>\n<div class=\"cards\">";
-    out += "<div class=\"card\"><h3>throughput QPS</h3>" +
-           Sparkline(serve_qps_trend, 1) + "</div>";
-    out += "<div class=\"card\"><h3>p50 latency ms</h3>" +
-           Sparkline(serve_p50_trend, 1) + "</div>";
-    out += "<div class=\"card\"><h3>p99 latency ms</h3>" +
-           Sparkline(serve_p99_trend, 1) + "</div>";
-    out += "<div class=\"card\"><h3>shed+degraded+deadline+failed %</h3>" +
-           Sparkline(serve_nonok_trend, 1) + "</div>";
-    out += "</div>\n";
-  }
+  TrendSection(
+      out, runs, &LedgerMetrics::serve_collected, "Serve envelope", "run(s) with serve blocks",
+      {{"throughput QPS", 1, [](const RunRecord& r) { return r.metrics.serve_qps; }},
+       {"p50 latency ms", 1, [](const RunRecord& r) { return r.metrics.serve_p50_ms; }},
+       {"p99 latency ms", 1, [](const RunRecord& r) { return r.metrics.serve_p99_ms; }},
+       {"shed+degraded+deadline+failed %", 1, [&](const RunRecord& r) {
+          const LedgerMetrics& m = r.metrics;
+          return percent(m.serve_shed + m.serve_degraded + m.serve_deadline + m.serve_failed,
+                         m.serve_requests);
+        }}});
 
   // Speedup curves from the newest scalability bench sweep: records labeled
   // "bench:scalability <profile> jobs=N" by bench_table7_scalability. Newest

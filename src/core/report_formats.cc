@@ -1,5 +1,7 @@
 #include "src/core/report_formats.h"
 
+#include <algorithm>
+
 #include "src/checkers/checker.h"
 #include "src/checkers/registry.h"
 #include "src/core/incremental.h"
@@ -74,8 +76,8 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
   // See DESIGN.md §"JSON report schema" for the contract.
   json.Int("schema_version", 8);
   json.Double("analysis_seconds", report.analysis_seconds);
-  json.Double("parse_seconds", report.parse_seconds);
-  json.Double("detect_seconds", report.detect_seconds);
+  json.Double("parse_seconds", report.stage_seconds[PipelineStage::kParse]);
+  json.Double("detect_seconds", report.stage_seconds[PipelineStage::kDetect]);
   json.Int("jobs", report.jobs);
   json.Key("checkers").BeginArray();
   for (const std::string& name : report.checkers) {
@@ -152,17 +154,9 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     json.Key("metrics").BeginObject();
 
     json.Key("stages").BeginObject();
-    struct {
-      const char* name;
-      double seconds;
-    } stages[] = {
-        {"parse", stage.parse_seconds},       {"detect", stage.detect_seconds},
-        {"authorship", stage.authorship_seconds}, {"cross_scope_filter", stage.filter_seconds},
-        {"prune", stage.prune_seconds},       {"rank", stage.rank_seconds},
-    };
-    for (const auto& entry : stages) {
-      json.Key(entry.name).BeginObject();
-      json.Double("seconds", entry.seconds);
+    for (PipelineStage s : kPipelineStages) {
+      json.Key(PipelineStageName(s)).BeginObject();
+      json.Double("seconds", report.stage_seconds[s]);
       json.EndObject();
     }
     json.EndObject();  // stages
@@ -353,38 +347,44 @@ std::string RenderStageMetricsTable(const AnalysisReport& report) {
   auto ms = [](double seconds) { return FormatDouble(seconds * 1e3, 3); };
 
   TableWriter table({"stage", "ms", "detail"});
-  table.AddRow({"parse", ms(stage.parse_seconds),
-                std::to_string(stage.files_parsed) + " file(s)"});
-  table.AddRow({"detect", ms(stage.detect_seconds),
-                std::to_string(stage.functions_analyzed) + " function(s), " +
-                    std::to_string(stage.candidates_detected) + " candidate(s)"});
-  table.AddRow({"authorship", ms(stage.authorship_seconds), ""});
-  table.AddRow({"cross-scope-filter", ms(stage.filter_seconds),
-                std::to_string(report.non_cross_scope) + " dropped"});
-  table.AddRow({"prune", ms(stage.prune_seconds),
-                std::to_string(prune.TotalPruned()) + "/" + std::to_string(prune.original) +
-                    " pruned"});
-  struct {
-    const char* name;
-    int tested;
-    int pruned;
-  } patterns[] = {
-      {"prune:config-dependency", prune.config_tested, prune.config_dependency},
-      {"prune:cursor", prune.cursor_tested, prune.cursor},
-      {"prune:unused-hints", prune.hints_tested, prune.unused_hints},
-      {"prune:peer-definition", prune.peer_tested, prune.peer_definition},
-      {"prune:stale-code", prune.stale_tested, prune.stale_code},
-  };
-  for (const auto& pattern : patterns) {
-    table.AddRow({pattern.name, "",
-                  std::to_string(pattern.pruned) + " pruned / " +
-                      std::to_string(pattern.tested - pattern.pruned) + " rejected of " +
-                      std::to_string(pattern.tested) + " tested"});
+  PerStage<std::string> detail;
+  detail[PipelineStage::kParse] = std::to_string(stage.files_parsed) + " file(s)";
+  detail[PipelineStage::kDetect] = std::to_string(stage.functions_analyzed) + " function(s), " +
+                                   std::to_string(stage.candidates_detected) + " candidate(s)";
+  detail[PipelineStage::kCrossScopeFilter] = std::to_string(report.non_cross_scope) + " dropped";
+  detail[PipelineStage::kPrune] =
+      std::to_string(prune.TotalPruned()) + "/" + std::to_string(prune.original) + " pruned";
+  detail[PipelineStage::kRank] = std::to_string(stage.rank_scored) + " scored, " +
+                                 std::to_string(stage.rank_unknown) + " unknown; model " +
+                                 ms(stage.rank_model_seconds) + "ms";
+  for (PipelineStage s : kPipelineStages) {
+    table.AddRow({PipelineStageName(s), ms(report.stage_seconds[s]), detail[s]});
+    if (s != PipelineStage::kPrune) {
+      continue;
+    }
+    struct {
+      const char* name;
+      int tested;
+      int pruned;
+    } patterns[] = {
+        {"prune:config-dependency", prune.config_tested, prune.config_dependency},
+        {"prune:cursor", prune.cursor_tested, prune.cursor},
+        {"prune:unused-hints", prune.hints_tested, prune.unused_hints},
+        {"prune:peer-definition", prune.peer_tested, prune.peer_definition},
+        {"prune:stale-code", prune.stale_tested, prune.stale_code},
+    };
+    for (const auto& pattern : patterns) {
+      table.AddRow({pattern.name, "",
+                    std::to_string(pattern.pruned) + " pruned / " +
+                        std::to_string(pattern.tested - pattern.pruned) + " rejected of " +
+                        std::to_string(pattern.tested) + " tested"});
+    }
   }
-  table.AddRow({"rank", ms(stage.rank_seconds),
-                std::to_string(stage.rank_scored) + " scored, " +
-                    std::to_string(stage.rank_unknown) + " unknown; model " +
-                    ms(stage.rank_model_seconds) + "ms"});
+  // Run time no stage claims (source reading, fingerprinting, the raw
+  // candidate copy, bookkeeping between stages), so the rows sum to total.
+  table.AddRow({"unattributed",
+                ms(std::max(0.0, report.analysis_seconds - report.stage_seconds.Sum())),
+                "outside every stage"});
   table.AddRow({"total", ms(report.analysis_seconds), "jobs=" + std::to_string(report.jobs)});
 
   TableWriter pool({"thread-pool", "value"});

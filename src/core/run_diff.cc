@@ -67,12 +67,7 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
   LedgerMetrics& m = record.metrics;
   m.collected = report.stage.collected;
   m.analysis_seconds = report.analysis_seconds;
-  m.parse_seconds = report.stage.collected ? report.stage.parse_seconds : report.parse_seconds;
-  m.detect_seconds = report.stage.collected ? report.stage.detect_seconds : report.detect_seconds;
-  m.authorship_seconds = report.stage.authorship_seconds;
-  m.filter_seconds = report.stage.filter_seconds;
-  m.prune_seconds = report.stage.prune_seconds;
-  m.rank_seconds = report.stage.rank_seconds;
+  m.stage_seconds = report.stage_seconds;
   m.files_parsed = static_cast<int64_t>(report.stage.files_parsed);
   m.functions_analyzed = static_cast<int64_t>(report.stage.functions_analyzed);
   m.candidates_detected = static_cast<int64_t>(report.stage.candidates_detected);
@@ -238,31 +233,22 @@ RunDiff ComputeRunDiff(const RunRecord& a, const RunRecord& b,
     diff.deltas.push_back(delta);
   }
 
-  struct StagePair {
-    const char* name;
-    double before;
-    double after;
-  } stages[] = {
-      {"analysis_seconds", ma.analysis_seconds, mb.analysis_seconds},
-      {"parse_seconds", ma.parse_seconds, mb.parse_seconds},
-      {"detect_seconds", ma.detect_seconds, mb.detect_seconds},
-      {"authorship_seconds", ma.authorship_seconds, mb.authorship_seconds},
-      {"filter_seconds", ma.filter_seconds, mb.filter_seconds},
-      {"prune_seconds", ma.prune_seconds, mb.prune_seconds},
-      {"rank_seconds", ma.rank_seconds, mb.rank_seconds},
-  };
-  for (const StagePair& stage : stages) {
-    MetricDelta delta{stage.name, stage.before, stage.after, /*timing=*/true, false};
-    bool breached = stage.after > stage.before * thresholds.stage_ratio &&
-                    stage.after - stage.before > thresholds.stage_floor_seconds;
+  auto timing = [&](std::string name, double before, double after) {
+    MetricDelta delta{name, before, after, /*timing=*/true, false};
+    bool breached = after > before * thresholds.stage_ratio &&
+                    after - before > thresholds.stage_floor_seconds;
     if (breached) {
       delta.regressed = true;
-      diff.regressions.push_back(std::string(stage.name) + " regressed " +
-                                 FormatDouble(stage.before, 3) + "s -> " +
-                                 FormatDouble(stage.after, 3) + "s (ratio threshold " +
+      diff.regressions.push_back(name + " regressed " + FormatDouble(before, 3) + "s -> " +
+                                 FormatDouble(after, 3) + "s (ratio threshold " +
                                  FormatDouble(thresholds.stage_ratio, 2) + "x)");
     }
     diff.deltas.push_back(delta);
+  };
+  timing("analysis_seconds", ma.analysis_seconds, mb.analysis_seconds);
+  for (PipelineStage s : kPipelineStages) {
+    timing(std::string(PipelineStageName(s)) + "_seconds", ma.stage_seconds[s],
+           mb.stage_seconds[s]);
   }
 
   if (static_cast<int>(diff.added.size()) > thresholds.max_new_findings) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
@@ -25,27 +26,110 @@ std::string FormatRunId(size_t ordinal) {
   return buf;
 }
 
+// One metrics field: its JSON key and the LedgerMetrics member it maps to.
+struct MetricField {
+  const char* key;
+  std::variant<int64_t LedgerMetrics::*, double LedgerMetrics::*> member;
+};
+
+// A JSON object of plain fields under metrics.<key>. An optional block (one
+// with a `collected` flag) is written, "collected":true first, only when the
+// flag is set, and reads back as all zero when absent: records from before
+// the block existed and runs that did not produce it load and diff cleanly.
+struct MetricBlock {
+  const char* key;
+  bool LedgerMetrics::*collected;
+  std::vector<MetricField> fields;
+};
+
+using M = LedgerMetrics;
+
+const MetricBlock kCounters = {
+    "counters", nullptr,
+    {{"files_parsed", &M::files_parsed}, {"functions_analyzed", &M::functions_analyzed},
+     {"candidates_detected", &M::candidates_detected}, {"prune_original", &M::prune_original},
+     {"prune_total", &M::prune_total}, {"prune_remaining", &M::prune_remaining},
+     {"quarantined_units", &M::quarantined_units}}};
+
+// The blocks after prune_patterns, in record order.
+const std::vector<MetricBlock> kTrailingBlocks = {
+    {"thread_pool", nullptr,
+     {{"workers", &M::pool_workers}, {"tasks", &M::pool_tasks}, {"steals", &M::pool_steals},
+      {"idle_seconds", &M::pool_idle_seconds}}},
+    // v2: memory accounting (--metrics runs).
+    {"memory", &M::mem_collected,
+     {{"ast_bytes", &M::mem_ast_bytes}, {"ast_objects", &M::mem_ast_objects},
+      {"ir_bytes", &M::mem_ir_bytes}, {"ir_objects", &M::mem_ir_objects},
+      {"points_to_bytes", &M::mem_points_to_bytes},
+      {"points_to_objects", &M::mem_points_to_objects}, {"strings_bytes", &M::mem_strings_bytes},
+      {"strings_objects", &M::mem_strings_objects}, {"tracked_bytes", &M::mem_tracked_bytes},
+      {"peak_rss_bytes", &M::mem_peak_rss_bytes}}},
+    // v3: scalability-observatory summary (--perf-report runs).
+    {"perf", &M::perf_collected,
+     {{"wall_seconds", &M::perf_wall_seconds},
+      {"critical_path_seconds", &M::perf_critical_path_seconds},
+      {"serial_fraction", &M::perf_serial_fraction}, {"utilization", &M::perf_utilization},
+      {"max_busy_seconds", &M::perf_max_busy_seconds},
+      {"mean_busy_seconds", &M::perf_mean_busy_seconds},
+      {"imbalance_ratio", &M::perf_imbalance_ratio}}},
+    // v4: incremental-engine summary (per-commit runs).
+    {"incremental", &M::inc_collected,
+     {{"commit", &M::inc_commit}, {"files_changed", &M::inc_files_changed},
+      {"files_reparsed", &M::inc_files_reparsed}, {"functions_total", &M::inc_functions_total},
+      {"functions_dirty", &M::inc_functions_dirty}, {"findings_carried", &M::inc_findings_carried},
+      {"findings_new", &M::inc_findings_new}, {"findings_fixed", &M::inc_findings_fixed},
+      {"cache_hit_rate", &M::inc_cache_hit_rate}, {"seconds", &M::inc_seconds}}},
+    // v5: serving summary (daemon and loadgen sessions).
+    {"serve", &M::serve_collected,
+     {{"wall_seconds", &M::serve_wall_seconds}, {"clients", &M::serve_clients},
+      {"requests", &M::serve_requests}, {"succeeded", &M::serve_succeeded},
+      {"degraded", &M::serve_degraded}, {"shed", &M::serve_shed}, {"deadline", &M::serve_deadline},
+      {"failed", &M::serve_failed}, {"retried", &M::serve_retried}, {"qps", &M::serve_qps},
+      {"p50_ms", &M::serve_p50_ms}, {"p95_ms", &M::serve_p95_ms}, {"p99_ms", &M::serve_p99_ms}}},
+};
+
+void WriteBlock(JsonWriter& json, const LedgerMetrics& m, const MetricBlock& block) {
+  if (block.collected != nullptr && !(m.*block.collected)) {
+    return;
+  }
+  json.Key(block.key).BeginObject();
+  if (block.collected != nullptr) {
+    json.Bool("collected", true);
+  }
+  for (const MetricField& field : block.fields) {
+    if (const auto* member = std::get_if<int64_t M::*>(&field.member)) {
+      json.Int(field.key, m.**member);
+    } else {
+      json.Double(field.key, m.*std::get<double M::*>(field.member));
+    }
+  }
+  json.EndObject();
+}
+
+void ReadBlock(const JsonValue& metrics, LedgerMetrics& m, const MetricBlock& block) {
+  const JsonValue& value = metrics.Get(block.key);
+  if (block.collected != nullptr) {
+    m.*block.collected = value.GetBool("collected");
+  }
+  for (const MetricField& field : block.fields) {
+    if (const auto* member = std::get_if<int64_t M::*>(&field.member)) {
+      m.**member = value.GetInt(field.key);
+    } else {
+      m.*std::get<double M::*>(field.member) = value.GetDouble(field.key);
+    }
+  }
+}
+
 void WriteMetrics(JsonWriter& json, const LedgerMetrics& m) {
   json.Key("metrics").BeginObject();
   json.Bool("collected", m.collected);
   json.Double("analysis_seconds", m.analysis_seconds);
   json.Key("stages").BeginObject();
-  json.Double("parse", m.parse_seconds);
-  json.Double("detect", m.detect_seconds);
-  json.Double("authorship", m.authorship_seconds);
-  json.Double("filter", m.filter_seconds);
-  json.Double("prune", m.prune_seconds);
-  json.Double("rank", m.rank_seconds);
+  for (PipelineStage s : kPipelineStages) {
+    json.Double(PipelineStageName(s), m.stage_seconds[s]);
+  }
   json.EndObject();
-  json.Key("counters").BeginObject();
-  json.Int("files_parsed", m.files_parsed);
-  json.Int("functions_analyzed", m.functions_analyzed);
-  json.Int("candidates_detected", m.candidates_detected);
-  json.Int("prune_original", m.prune_original);
-  json.Int("prune_total", m.prune_total);
-  json.Int("prune_remaining", m.prune_remaining);
-  json.Int("quarantined_units", m.quarantined_units);
-  json.EndObject();
+  WriteBlock(json, m, kCounters);
   json.Key("prune_patterns").BeginArray();
   for (const LedgerPrunePattern& pattern : m.prune_patterns) {
     json.BeginObject();
@@ -55,80 +139,8 @@ void WriteMetrics(JsonWriter& json, const LedgerMetrics& m) {
     json.EndObject();
   }
   json.EndArray();
-  json.Key("thread_pool").BeginObject();
-  json.Int("workers", m.pool_workers);
-  json.Int("tasks", m.pool_tasks);
-  json.Int("steals", m.pool_steals);
-  json.Double("idle_seconds", m.pool_idle_seconds);
-  json.EndObject();
-  // v2: memory accounting. Only written when collected, so records from runs
-  // without --metrics stay byte-compatible with v1 readers (which ignore
-  // unknown keys anyway).
-  if (m.mem_collected) {
-    json.Key("memory").BeginObject();
-    json.Bool("collected", true);
-    json.Int("ast_bytes", m.mem_ast_bytes);
-    json.Int("ast_objects", m.mem_ast_objects);
-    json.Int("ir_bytes", m.mem_ir_bytes);
-    json.Int("ir_objects", m.mem_ir_objects);
-    json.Int("points_to_bytes", m.mem_points_to_bytes);
-    json.Int("points_to_objects", m.mem_points_to_objects);
-    json.Int("strings_bytes", m.mem_strings_bytes);
-    json.Int("strings_objects", m.mem_strings_objects);
-    json.Int("tracked_bytes", m.mem_tracked_bytes);
-    json.Int("peak_rss_bytes", m.mem_peak_rss_bytes);
-    json.EndObject();
-  }
-  // v3: scalability-observatory summary. Written only for --perf-report
-  // runs, same compatibility story as the v2 memory block.
-  if (m.perf_collected) {
-    json.Key("perf").BeginObject();
-    json.Bool("collected", true);
-    json.Double("wall_seconds", m.perf_wall_seconds);
-    json.Double("critical_path_seconds", m.perf_critical_path_seconds);
-    json.Double("serial_fraction", m.perf_serial_fraction);
-    json.Double("utilization", m.perf_utilization);
-    json.Double("max_busy_seconds", m.perf_max_busy_seconds);
-    json.Double("mean_busy_seconds", m.perf_mean_busy_seconds);
-    json.Double("imbalance_ratio", m.perf_imbalance_ratio);
-    json.EndObject();
-  }
-  // v4: incremental-engine summary. Written only for per-commit runs, same
-  // compatibility story as the v2/v3 optional blocks.
-  if (m.inc_collected) {
-    json.Key("incremental").BeginObject();
-    json.Bool("collected", true);
-    json.Int("commit", m.inc_commit);
-    json.Int("files_changed", m.inc_files_changed);
-    json.Int("files_reparsed", m.inc_files_reparsed);
-    json.Int("functions_total", m.inc_functions_total);
-    json.Int("functions_dirty", m.inc_functions_dirty);
-    json.Int("findings_carried", m.inc_findings_carried);
-    json.Int("findings_new", m.inc_findings_new);
-    json.Int("findings_fixed", m.inc_findings_fixed);
-    json.Double("cache_hit_rate", m.inc_cache_hit_rate);
-    json.Double("seconds", m.inc_seconds);
-    json.EndObject();
-  }
-  // v5: serving summary. Written only for daemon/loadgen sessions, same
-  // compatibility story as the earlier optional blocks.
-  if (m.serve_collected) {
-    json.Key("serve").BeginObject();
-    json.Bool("collected", true);
-    json.Double("wall_seconds", m.serve_wall_seconds);
-    json.Int("clients", m.serve_clients);
-    json.Int("requests", m.serve_requests);
-    json.Int("succeeded", m.serve_succeeded);
-    json.Int("degraded", m.serve_degraded);
-    json.Int("shed", m.serve_shed);
-    json.Int("deadline", m.serve_deadline);
-    json.Int("failed", m.serve_failed);
-    json.Int("retried", m.serve_retried);
-    json.Double("qps", m.serve_qps);
-    json.Double("p50_ms", m.serve_p50_ms);
-    json.Double("p95_ms", m.serve_p95_ms);
-    json.Double("p99_ms", m.serve_p99_ms);
-    json.EndObject();
+  for (const MetricBlock& block : kTrailingBlocks) {
+    WriteBlock(json, m, block);
   }
   json.EndObject();  // metrics
 }
@@ -138,20 +150,15 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
   m.collected = value.GetBool("collected");
   m.analysis_seconds = value.GetDouble("analysis_seconds");
   const JsonValue& stages = value.Get("stages");
-  m.parse_seconds = stages.GetDouble("parse");
-  m.detect_seconds = stages.GetDouble("detect");
-  m.authorship_seconds = stages.GetDouble("authorship");
-  m.filter_seconds = stages.GetDouble("filter");
-  m.prune_seconds = stages.GetDouble("prune");
-  m.rank_seconds = stages.GetDouble("rank");
-  const JsonValue& counters = value.Get("counters");
-  m.files_parsed = counters.GetInt("files_parsed");
-  m.functions_analyzed = counters.GetInt("functions_analyzed");
-  m.candidates_detected = counters.GetInt("candidates_detected");
-  m.prune_original = counters.GetInt("prune_original");
-  m.prune_total = counters.GetInt("prune_total");
-  m.prune_remaining = counters.GetInt("prune_remaining");
-  m.quarantined_units = counters.GetInt("quarantined_units");
+  for (PipelineStage s : kPipelineStages) {
+    const char* key = PipelineStageName(s);
+    // Records before ledger schema v6 named the cross-scope filter "filter".
+    if (s == PipelineStage::kCrossScopeFilter && !stages.Has(key)) {
+      key = "filter";
+    }
+    m.stage_seconds[s] = stages.GetDouble(key);
+  }
+  ReadBlock(value, m, kCounters);
   for (const JsonValue& pattern : value.Get("prune_patterns").Items()) {
     LedgerPrunePattern p;
     p.name = pattern.GetString("name");
@@ -159,70 +166,8 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
     p.pruned = pattern.GetInt("pruned");
     m.prune_patterns.push_back(std::move(p));
   }
-  const JsonValue& pool = value.Get("thread_pool");
-  m.pool_workers = static_cast<int>(pool.GetInt("workers"));
-  m.pool_tasks = pool.GetInt("tasks");
-  m.pool_steals = pool.GetInt("steals");
-  m.pool_idle_seconds = pool.GetDouble("idle_seconds");
-  // Absent in pre-v2 records; every field defaults to zero / not-collected.
-  if (value.Has("memory")) {
-    const JsonValue& mem = value.Get("memory");
-    m.mem_collected = mem.GetBool("collected");
-    m.mem_ast_bytes = mem.GetInt("ast_bytes");
-    m.mem_ast_objects = mem.GetInt("ast_objects");
-    m.mem_ir_bytes = mem.GetInt("ir_bytes");
-    m.mem_ir_objects = mem.GetInt("ir_objects");
-    m.mem_points_to_bytes = mem.GetInt("points_to_bytes");
-    m.mem_points_to_objects = mem.GetInt("points_to_objects");
-    m.mem_strings_bytes = mem.GetInt("strings_bytes");
-    m.mem_strings_objects = mem.GetInt("strings_objects");
-    m.mem_tracked_bytes = mem.GetInt("tracked_bytes");
-    m.mem_peak_rss_bytes = mem.GetInt("peak_rss_bytes");
-  }
-  // Absent in pre-v3 records and runs without --perf-report.
-  if (value.Has("perf")) {
-    const JsonValue& perf = value.Get("perf");
-    m.perf_collected = perf.GetBool("collected");
-    m.perf_wall_seconds = perf.GetDouble("wall_seconds");
-    m.perf_critical_path_seconds = perf.GetDouble("critical_path_seconds");
-    m.perf_serial_fraction = perf.GetDouble("serial_fraction");
-    m.perf_utilization = perf.GetDouble("utilization");
-    m.perf_max_busy_seconds = perf.GetDouble("max_busy_seconds");
-    m.perf_mean_busy_seconds = perf.GetDouble("mean_busy_seconds");
-    m.perf_imbalance_ratio = perf.GetDouble("imbalance_ratio");
-  }
-  // Absent in pre-v4 records and full (non-incremental) runs.
-  if (value.Has("incremental")) {
-    const JsonValue& inc = value.Get("incremental");
-    m.inc_collected = inc.GetBool("collected");
-    m.inc_commit = inc.GetInt("commit");
-    m.inc_files_changed = inc.GetInt("files_changed");
-    m.inc_files_reparsed = inc.GetInt("files_reparsed");
-    m.inc_functions_total = inc.GetInt("functions_total");
-    m.inc_functions_dirty = inc.GetInt("functions_dirty");
-    m.inc_findings_carried = inc.GetInt("findings_carried");
-    m.inc_findings_new = inc.GetInt("findings_new");
-    m.inc_findings_fixed = inc.GetInt("findings_fixed");
-    m.inc_cache_hit_rate = inc.GetDouble("cache_hit_rate");
-    m.inc_seconds = inc.GetDouble("seconds");
-  }
-  // Absent in pre-v5 records and batch (non-serving) runs.
-  if (value.Has("serve")) {
-    const JsonValue& serve = value.Get("serve");
-    m.serve_collected = serve.GetBool("collected");
-    m.serve_wall_seconds = serve.GetDouble("wall_seconds");
-    m.serve_clients = serve.GetInt("clients");
-    m.serve_requests = serve.GetInt("requests");
-    m.serve_succeeded = serve.GetInt("succeeded");
-    m.serve_degraded = serve.GetInt("degraded");
-    m.serve_shed = serve.GetInt("shed");
-    m.serve_deadline = serve.GetInt("deadline");
-    m.serve_failed = serve.GetInt("failed");
-    m.serve_retried = serve.GetInt("retried");
-    m.serve_qps = serve.GetDouble("qps");
-    m.serve_p50_ms = serve.GetDouble("p50_ms");
-    m.serve_p95_ms = serve.GetDouble("p95_ms");
-    m.serve_p99_ms = serve.GetDouble("p99_ms");
+  for (const MetricBlock& block : kTrailingBlocks) {
+    ReadBlock(value, m, block);
   }
   return m;
 }

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/pipeline_stages.h"
+
 namespace vc {
 
 // One finding as stored in the ledger. `fingerprint` is the identity used by
@@ -59,12 +61,8 @@ struct LedgerCheckerStat {
 struct LedgerMetrics {
   bool collected = false;
   double analysis_seconds = 0.0;
-  double parse_seconds = 0.0;
-  double detect_seconds = 0.0;
-  double authorship_seconds = 0.0;
-  double filter_seconds = 0.0;
-  double prune_seconds = 0.0;
-  double rank_seconds = 0.0;
+  // Always-available per-stage seconds, stored as stages.<name>.
+  StageSeconds stage_seconds;
   int64_t files_parsed = 0;
   int64_t functions_analyzed = 0;
   int64_t candidates_detected = 0;
@@ -74,7 +72,7 @@ struct LedgerMetrics {
   // Units dropped by fault isolation (0 in clean runs and pre-v5 records).
   int64_t quarantined_units = 0;
   std::vector<LedgerPrunePattern> prune_patterns;
-  int pool_workers = 0;
+  int64_t pool_workers = 0;
   int64_t pool_tasks = 0;
   int64_t pool_steals = 0;
   double pool_idle_seconds = 0.0;
@@ -145,10 +143,12 @@ struct LedgerMetrics {
 struct RunRecord {
   // v1: initial schema. v2: per-checker stats + memory accounting fields.
   // v3: perf (scalability observatory) summary fields. v4: incremental-engine
-  // summary fields. v5: serve (daemon/loadgen) summary fields. Every addition
-  // reads back as zero/empty from older lines, so mixed-version ledgers load
-  // and diff cleanly.
-  static constexpr int kSchemaVersion = 5;
+  // summary fields. v5: serve (daemon/loadgen) summary fields. v6: stage keys
+  // come from the pipeline stage list, so the cross-scope filter is
+  // stages.cross_scope_filter (older lines' stages.filter still reads back).
+  // Every addition reads back as zero/empty from older lines, so
+  // mixed-version ledgers load and diff cleanly.
+  static constexpr int kSchemaVersion = 6;
 
   std::string run_id;
   int64_t timestamp_ms = 0;     // caller-supplied wall clock (0 = unknown)

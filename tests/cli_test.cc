@@ -400,6 +400,35 @@ TEST_F(CliTest, HistoryListsRunsAndHonorsLimit) {
   EXPECT_NE(limited.output.find("r0002"), std::string::npos);
 }
 
+TEST_F(CliTest, LedgerWithV5LineStaysReadableAfterAppend) {
+  // A verbatim line written by a ledger-schema v5 binary analyzing
+  // v5src/buggy.c (kBuggy); it names the cross-scope filter stage "filter".
+  const std::string v5_line =
+      R"({"ledger_schema":5,"run_id":"r0001","timestamp_ms":1792223136152,"label":"v5-run","options":"no-history","jobs":1,"degraded":false,"checkers":["unused-def","double-overwrite","dead-global-store","out-param-unused","stale-copy"],"checker_stats":[{"checker":"unused-def","candidates":1,"findings":1},{"checker":"double-overwrite","candidates":0,"findings":0},{"checker":"dead-global-store","candidates":0,"findings":0},{"checker":"out-param-unused","candidates":0,"findings":0},{"checker":"stale-copy","candidates":0,"findings":0}],"findings":[{"fingerprint":"00747072a6f6b055","checker":"unused-def","file":"v5src/buggy.c","line":5,"function":"handle","variable":"ret","kind":"plain-unused","familiarity":0}],"metrics":{"collected":true,"analysis_seconds":0.000963318,"stages":{"parse":0.000778504,"detect":0.000101987,"authorship":3.28e-06,"filter":2.173e-06,"prune":2.5689e-05,"rank":9.32e-07},"counters":{"files_parsed":1,"functions_analyzed":2,"candidates_detected":1,"prune_original":1,"prune_total":0,"prune_remaining":1,"quarantined_units":0},"prune_patterns":[{"name":"config_dependency","tested":1,"pruned":0},{"name":"cursor","tested":1,"pruned":0},{"name":"unused_hints","tested":1,"pruned":0},{"name":"peer_definition","tested":1,"pruned":0},{"name":"stale_code","tested":0,"pruned":0}],"thread_pool":{"workers":3,"tasks":0,"steals":0,"idle_seconds":0},"memory":{"collected":true,"ast_bytes":1800,"ast_objects":29,"ir_bytes":3140,"ir_objects":17,"points_to_bytes":0,"points_to_objects":0,"strings_bytes":33,"strings_objects":6,"tracked_bytes":4973,"peak_rss_bytes":4628480}}})";
+  Write("v5src/buggy.c", kBuggy);
+  Write("ledger/runs.jsonl", v5_line + "\n");
+  // Run from dir_ so the finding's path, and with it its fingerprint, match.
+  const std::string cli = "cd " + dir_.string() + " && " + VALUECHECK_CLI_PATH;
+  EXPECT_EQ(RunCommand(cli + " analyze --ledger=ledger --label=v6-run v5src/buggy.c 2>&1")
+                .exit_code,
+            1);
+
+  RunResult history = RunCommand(cli + " history --ledger=ledger 2>&1");
+  EXPECT_EQ(history.exit_code, 0) << history.output;
+  EXPECT_NE(history.output.find("v5-run"), std::string::npos) << history.output;
+  EXPECT_NE(history.output.find("v6-run"), std::string::npos) << history.output;
+
+  RunResult diff = RunCommand(cli + " diff --ledger=ledger --check 2>&1");
+  EXPECT_EQ(diff.exit_code, 0) << diff.output;
+  EXPECT_NE(diff.output.find("0 new, 0 fixed, 1 persistent"), std::string::npos)
+      << diff.output;
+  RunResult json = RunCommand(cli + " diff --ledger=ledger --format=json 2>&1");
+  EXPECT_NE(json.output.find("\"name\":\"cross_scope_filter_seconds\",\"before\":2.173e-06"),
+            std::string::npos)
+      << json.output;
+  EXPECT_EQ(json.output.find("\"filter_seconds\""), std::string::npos);
+}
+
 TEST_F(CliTest, ReportHtmlRendersTrendDashboard) {
   std::string path = Write("buggy.c", kBuggy);
   std::string ledger = (dir_ / "ledger").string();

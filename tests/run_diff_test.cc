@@ -85,18 +85,18 @@ TEST(RunDiff, StageRegressionNeedsRatioAndAbsoluteFloor) {
   RunRecord b = MakeRun("r0002", {});
 
   // Ratio breached AND growth above the floor -> regression.
-  a.metrics.detect_seconds = 0.10;
-  b.metrics.detect_seconds = 0.30;
+  a.metrics.stage_seconds[PipelineStage::kDetect] = 0.10;
+  b.metrics.stage_seconds[PipelineStage::kDetect] = 0.30;
   EXPECT_TRUE(ComputeRunDiff(a, b).HasRegressions());
 
   // Huge ratio but sub-floor absolute growth (ms jitter) -> no regression.
-  a.metrics.detect_seconds = 0.001;
-  b.metrics.detect_seconds = 0.010;
+  a.metrics.stage_seconds[PipelineStage::kDetect] = 0.001;
+  b.metrics.stage_seconds[PipelineStage::kDetect] = 0.010;
   EXPECT_FALSE(ComputeRunDiff(a, b).HasRegressions());
 
   // Large absolute growth but ratio under 1.5x -> no regression.
-  a.metrics.detect_seconds = 1.00;
-  b.metrics.detect_seconds = 1.40;
+  a.metrics.stage_seconds[PipelineStage::kDetect] = 1.00;
+  b.metrics.stage_seconds[PipelineStage::kDetect] = 1.40;
   EXPECT_FALSE(ComputeRunDiff(a, b).HasRegressions());
 }
 
@@ -129,8 +129,8 @@ TEST(RunDiff, DefaultTextRenderingHoldsNoTimings) {
   // Timings differ but stay under the regression thresholds: raw timing
   // deltas must not surface in the default (deterministic) rendering. An
   // actual threshold breach *does* surface, via the regressions section.
-  a.metrics.detect_seconds = 0.123;
-  b.metrics.detect_seconds = 0.140;
+  a.metrics.stage_seconds[PipelineStage::kDetect] = 0.123;
+  b.metrics.stage_seconds[PipelineStage::kDetect] = 0.140;
   RunDiff diff = ComputeRunDiff(a, b);
 
   std::string text = RenderDiffText(diff);

@@ -42,8 +42,8 @@ RunRecord SampleRecord(const std::string& label) {
   LedgerMetrics& m = record.metrics;
   m.collected = true;
   m.analysis_seconds = 1.5;
-  m.parse_seconds = 0.75;
-  m.detect_seconds = 0.25;
+  m.stage_seconds[PipelineStage::kParse] = 0.75;
+  m.stage_seconds[PipelineStage::kDetect] = 0.25;
   m.files_parsed = 12;
   m.functions_analyzed = 340;
   m.candidates_detected = 9;
@@ -308,6 +308,27 @@ TEST_F(RunLedgerTest, PreV2RecordsLoadWithAbsentMeansNotRecorded) {
   std::string rewritten = RunRecordToJson(*old);
   EXPECT_EQ(rewritten.find("\"memory\""), std::string::npos);
   EXPECT_EQ(rewritten.find("\"checker_stats\""), std::string::npos);
+}
+
+// A verbatim line as a ledger-schema v5 binary wrote it: the cross-scope
+// filter's seconds sit under the pre-v6 stage key "filter".
+constexpr const char* kV5Line =
+    R"({"ledger_schema":5,"run_id":"r0001","timestamp_ms":1792223136152,"label":"v5-run","options":"no-history","jobs":1,"degraded":false,"checkers":["unused-def","double-overwrite","dead-global-store","out-param-unused","stale-copy"],"checker_stats":[{"checker":"unused-def","candidates":1,"findings":1},{"checker":"double-overwrite","candidates":0,"findings":0},{"checker":"dead-global-store","candidates":0,"findings":0},{"checker":"out-param-unused","candidates":0,"findings":0},{"checker":"stale-copy","candidates":0,"findings":0}],"findings":[{"fingerprint":"00747072a6f6b055","checker":"unused-def","file":"v5src/buggy.c","line":5,"function":"handle","variable":"ret","kind":"plain-unused","familiarity":0}],"metrics":{"collected":true,"analysis_seconds":0.000963318,"stages":{"parse":0.000778504,"detect":0.000101987,"authorship":3.28e-06,"filter":2.173e-06,"prune":2.5689e-05,"rank":9.32e-07},"counters":{"files_parsed":1,"functions_analyzed":2,"candidates_detected":1,"prune_original":1,"prune_total":0,"prune_remaining":1,"quarantined_units":0},"prune_patterns":[{"name":"config_dependency","tested":1,"pruned":0},{"name":"cursor","tested":1,"pruned":0},{"name":"unused_hints","tested":1,"pruned":0},{"name":"peer_definition","tested":1,"pruned":0},{"name":"stale_code","tested":0,"pruned":0}],"thread_pool":{"workers":3,"tasks":0,"steals":0,"idle_seconds":0},"memory":{"collected":true,"ast_bytes":1800,"ast_objects":29,"ir_bytes":3140,"ir_objects":17,"points_to_bytes":0,"points_to_objects":0,"strings_bytes":33,"strings_objects":6,"tracked_bytes":4973,"peak_rss_bytes":4628480}}})";
+
+TEST_F(RunLedgerTest, V5RecordReadsTheFilterStageUnderItsOldKey) {
+  std::string error;
+  std::optional<RunRecord> old = RunRecordFromJson(kV5Line, &error);
+  ASSERT_TRUE(old.has_value()) << error;
+  const StageSeconds& stages = old->metrics.stage_seconds;
+  EXPECT_DOUBLE_EQ(stages[PipelineStage::kParse], 0.000778504);
+  EXPECT_DOUBLE_EQ(stages[PipelineStage::kDetect], 0.000101987);
+  EXPECT_DOUBLE_EQ(stages[PipelineStage::kCrossScopeFilter], 2.173e-06);
+  EXPECT_DOUBLE_EQ(stages[PipelineStage::kRank], 9.32e-07);
+  // Rewritten, the record carries the v6 key and schema only.
+  std::string rewritten = RunRecordToJson(*old);
+  EXPECT_NE(rewritten.find("\"ledger_schema\":6"), std::string::npos);
+  EXPECT_NE(rewritten.find("\"cross_scope_filter\":2.173e-06"), std::string::npos);
+  EXPECT_EQ(rewritten.find("\"filter\":"), std::string::npos);
 }
 
 TEST_F(RunLedgerTest, MixedVersionLedgerLoadsAllRecords) {

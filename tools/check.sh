@@ -281,8 +281,8 @@ scaling_smoke() {
 # and require byte-identical CSV findings — the engine's equivalence
 # contract, end to end through the real binary. A second replay over the same
 # --cache-dir must report cache reuse (disk loads and carried detect
-# results), and the incremental run's Prometheus dump must contain a
-# well-formed vc_cache_* family (vc_obs_lint prom --require-cache).
+# results), and the incremental run's Prometheus dump (vc_cache_* family and
+# every stage histogram) and event stream must pass vc_obs_lint.
 incremental_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -325,7 +325,8 @@ incremental_smoke() {
   # ("disk cache N loaded" with N > 0) plus carried detect results.
   rc=0
   "${vc}" analyze --history "${tmp}/history.vchist" --incremental \
-    --cache-dir "${tmp}/cache" --metrics-out "${tmp}/inc.prom" --format=csv \
+    --cache-dir "${tmp}/cache" --metrics-out "${tmp}/inc.prom" \
+    --events "${tmp}/inc.events" --format=csv \
     >"${tmp}/inc2.csv" 2>"${tmp}/inc2.err" || rc=$?
   if [ "${rc}" -ge 2 ]; then
     echo "incremental smoke: cached replay failed (exit ${rc})" >&2
@@ -348,6 +349,8 @@ incremental_smoke() {
   fi
   "${lint}" prom "${tmp}/inc.prom" --require-cache || {
     echo "incremental smoke: cache metrics failed lint" >&2; return 1; }
+  "${lint}" events "${tmp}/inc.events" || {
+    echo "incremental smoke: events stream failed lint" >&2; return 1; }
   echo "incremental smoke: ok"
 }
 

@@ -698,37 +698,19 @@ int RunAnalyze(const std::vector<std::string>& args) {
   // the exit status is the conventional 128+signal.
   InstallGracefulShutdown();
 
-  if (!options.trace_path.empty()) {
-    if (!EnsureParentDir(options.trace_path)) {
+  for (const std::string* path : {&options.trace_path, &options.profile_path,
+                                  &options.perf_report_path, &options.metrics_out_path}) {
+    if (!path->empty() && !EnsureParentDir(*path)) {
       return 2;
     }
-    TraceCollector::Global().Enable();
   }
   // The collapsed-stack profile and the perf report are derived from the
-  // same spans as --trace, so each alone also turns the collector on.
-  if (!options.profile_path.empty()) {
-    if (!EnsureParentDir(options.profile_path)) {
-      return 2;
-    }
+  // same spans as --trace, so each alone also turns the collector on. The
+  // flags that need the metrics registry set collect_metrics, and the run
+  // turns the registry on when it starts.
+  if (!options.trace_path.empty() || !options.profile_path.empty() ||
+      !options.perf_report_path.empty()) {
     TraceCollector::Global().Enable();
-  }
-  if (!options.perf_report_path.empty()) {
-    if (!EnsureParentDir(options.perf_report_path)) {
-      return 2;
-    }
-    TraceCollector::Global().Enable();
-    // Steal latencies and per-worker busy time are clocked only while the
-    // metrics registry is on (collect_metrics was set at flag parse).
-    MetricsRegistry::Global().Enable();
-  }
-  if (options.metrics) {
-    MetricsRegistry::Global().Enable();
-  }
-  if (!options.metrics_out_path.empty()) {
-    if (!EnsureParentDir(options.metrics_out_path)) {
-      return 2;
-    }
-    MetricsRegistry::Global().Enable();
   }
   if (!options.events_path.empty()) {
     if (!EnsureParentDir(options.events_path) ||
@@ -832,25 +814,17 @@ int RunAnalyze(const std::vector<std::string>& args) {
                  static_cast<unsigned long long>(cache.disk_corrupt));
     report = inc_head->report;
   } else {
-    auto parse_start = std::chrono::steady_clock::now();
+    // One run from before the source read: the report's wall clock and pool
+    // delta cover the build, and the build is the run's parse stage.
+    PipelineRun run(options.analysis.collect_metrics);
     Project project = has_history
-                          ? analysis.BuildFromRepository(repo)
-                          : analysis.BuildFromSources(CollectSources(options.inputs));
-    double parse_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - parse_start).count();
-
+                          ? analysis.BuildFromRepository(repo, &run)
+                          : analysis.BuildFromSources(CollectSources(options.inputs), &run);
     if (project.diags().HasErrors()) {
       std::fputs(project.diags().Render(project.sources()).c_str(), stderr);
       return 2;
     }
-
-    report = analysis.Run(project, has_history ? &repo : nullptr);
-    report.parse_seconds = parse_seconds;
-    report.analysis_seconds += parse_seconds;
-    if (report.stage.collected) {
-      report.stage.parse_seconds = parse_seconds;
-      report.stage.files_parsed = project.units().size();
-    }
+    report = analysis.Run(project, has_history ? &repo : nullptr, &run);
   }
 
   // The heartbeat line ends (with a final render + newline) before anything

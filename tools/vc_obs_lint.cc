@@ -5,7 +5,9 @@
 //                             project json_reader; "event"/"seq"/"ts_us"
 //                             present on every line; "seq" dense from 0 and
 //                             strictly increasing in file order; first event
-//                             run_start, last run_end
+//                             run_start, last run_end; every stage_start is
+//                             closed by a stage_end of the same stage (and
+//                             file, for parse_file) before run_end
 //   vc_obs_lint prom FILE [--require-cache] [--require-serve]
 //                             Prometheus text exposition 0.0.4: every sample
 //                             line is `name{...} value` with a [a-zA-Z_:]
@@ -23,7 +25,10 @@
 //                             admission accounting identity
 //                             requests == ok+degraded+shed+deadline+failed;
 //                             --require-serve additionally fails the lint
-//                             when the family is absent (the serve smoke)
+//                             when the family is absent (the serve smoke).
+//                             Any vc_pipeline_* sample requires the
+//                             vc_pipeline_<stage>_seconds histogram of every
+//                             pipeline stage (src/support/pipeline_stages.h)
 //   vc_obs_lint folded FILE   collapsed-stack: every line is
 //                             `frame(;frame)* <positive integer>`, and the
 //                             file is non-empty
@@ -39,13 +44,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/support/file_io.h"
 #include "src/support/json_reader.h"
+#include "src/support/pipeline_stages.h"
 
 namespace {
 
@@ -79,6 +87,9 @@ int LintEvents(const std::string& path) {
   int64_t expected_seq = 0;
   std::string first_type;
   std::string last_type;
+  // Open stage_start events by stage (plus file, for per-file parse_file
+  // events, which interleave across workers).
+  std::map<std::string, int> open_stages;
   for (size_t i = 0; i < lines->size(); ++i) {
     const int line_no = static_cast<int>(i) + 1;
     const std::string& line = (*lines)[i];
@@ -109,6 +120,22 @@ int LintEvents(const std::string& path) {
     last_type = value->GetString("event");
     if (i == 0) {
       first_type = last_type;
+    }
+    if (last_type == "stage_start" || last_type == "stage_end") {
+      const std::string stage = value->GetString("stage");
+      const std::string key = stage + (value->Has("file") ? " " + value->GetString("file") : "");
+      if (last_type == "stage_start") {
+        ++open_stages[key];
+      } else if (open_stages[key]-- == 0) {
+        return Fail(path, line_no, "stage_end '" + key + "' without an open stage_start");
+      }
+    }
+    if (last_type == "run_end") {
+      for (const auto& [key, open] : open_stages) {
+        if (open != 0) {
+          return Fail(path, line_no, "stage '" + key + "' still open at run_end");
+        }
+      }
     }
   }
   if (first_type != "run_start") {
@@ -156,6 +183,8 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
   bool cache_functions_gauge = false;
   size_t serve_samples = 0;
   bool serve_latency_histogram = false;
+  bool any_pipeline = false;
+  std::set<std::string> sample_names;
   // Admission accounting counters; -1 = not seen in the exposition.
   double serve_requests = -1, serve_ok = -1, serve_degraded = -1;
   double serve_shed = -1, serve_deadline = -1, serve_failed = -1;
@@ -211,6 +240,10 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
     if (name.rfind("vc_", 0) == 0) {
       any_vc = true;
     }
+    if (name.rfind("vc_pipeline_", 0) == 0) {
+      any_pipeline = true;
+    }
+    sample_names.insert(name);
     // Incremental cache family: counters and gauges are monotone tallies of
     // parse/detect/disk traffic — a negative value means the publisher
     // regressed, not that the run was merely cold.
@@ -267,6 +300,18 @@ int LintProm(const std::string& path, bool require_cache, bool require_serve) {
     return Fail(path, 0,
                 "vc_cache_* family present without the vc_cache_files/"
                 "vc_cache_functions gauges (partial publish)");
+  }
+  // One run records every stage's histogram, so a partial set means a stage
+  // boundary lost its instrument.
+  if (any_pipeline) {
+    for (vc::PipelineStage stage : vc::kPipelineStages) {
+      const std::string histogram =
+          std::string("vc_pipeline_") + vc::PipelineStageName(stage) + "_seconds";
+      if (sample_names.count(histogram + "_count") == 0) {
+        return Fail(path, 0, "vc_pipeline_* family present without the " + histogram +
+                                 " histogram");
+      }
+    }
   }
   if (require_serve && serve_samples == 0) {
     return Fail(path, 0, "no vc_serve_* samples (daemon metrics missing)");
