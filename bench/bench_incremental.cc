@@ -23,7 +23,6 @@
 // (default commits/20).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -106,9 +105,7 @@ int main() {
   int first_divergence = -1;
 
   RunLedger ledger(ResultPath("ledger"));
-  int64_t bench_start_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::system_clock::now().time_since_epoch())
-                               .count();
+  int64_t bench_start_ms = NowMs();
 
   for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
     IncrementalResult result = engine.AnalyzeCommit(repo, commit);

@@ -15,13 +15,13 @@
 // medium (>100k LOC) or large (>1M LOC) for real sweeps.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/incremental.h"
+#include "src/core/run_diff.h"
 #include "src/support/json_writer.h"
 #include "src/support/run_ledger.h"
 #include "src/support/span_analysis.h"
@@ -189,9 +189,7 @@ int main() {
   // `valuecheck history --ledger result/ledger` and `report --html` can chart
   // bench-to-bench perf trends the same way they chart analysis reruns.
   RunLedger ledger(ResultPath("ledger"));
-  int64_t bench_start_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               std::chrono::system_clock::now().time_since_epoch())
-                               .count();
+  int64_t bench_start_ms = NowMs();
 
   for (const std::string& profile_name : testing::CorpusProfileNames()) {
     testing::CorpusProfile profile;
@@ -275,14 +273,7 @@ int main() {
       record.metrics.pool_tasks = static_cast<int64_t>(point.pool.tasks_executed);
       record.metrics.pool_steals = static_cast<int64_t>(point.pool.steals);
       record.metrics.pool_idle_seconds = point.pool.worker_idle_seconds;
-      record.metrics.perf_collected = true;
-      record.metrics.perf_wall_seconds = point.perf.wall_seconds;
-      record.metrics.perf_critical_path_seconds = point.perf.critical_path_seconds;
-      record.metrics.perf_serial_fraction = point.perf.serial_fraction;
-      record.metrics.perf_utilization = point.perf.mean_utilization;
-      record.metrics.perf_max_busy_seconds = point.perf.max_busy_seconds;
-      record.metrics.perf_mean_busy_seconds = point.perf.mean_busy_seconds;
-      record.metrics.perf_imbalance_ratio = point.perf.imbalance_ratio;
+      FillPerfMetrics(point.perf, record.metrics);
       std::string ledger_error;
       if (ledger.Append(std::move(record), &ledger_error).empty()) {
         std::printf("(ledger append failed: %s)\n", ledger_error.c_str());

@@ -98,7 +98,6 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     AuthorshipAnalyzer authorship(project, repo, kInvalidCommit, options_.jobs);
     authorship.ClassifyAll(candidates);
   }
-  report.raw_candidates = candidates;
 
   // 3. Cross-scope filter: only definitions on developer-interaction
   // boundaries continue (unless the ablation disables the filter).
@@ -135,6 +134,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     }
     stage.Count("survivors", static_cast<int64_t>(report.findings.size()));
   }
+  report.raw_candidates = std::move(candidates);
 
   // 5. Rank by code familiarity.
   RankStats rank_stats;
@@ -242,7 +242,7 @@ AnalysisReport Analysis::RunImpl(const Project& project, const Repository* repo,
     for (size_t i : project.unit_order()) {
       stage.functions_analyzed += project.modules()[i]->functions.size();
     }
-    stage.candidates_detected = candidates.size();
+    stage.candidates_detected = report.raw_candidates.size();
     stage.rank_scored = rank_stats.scored;
     stage.rank_unknown = rank_stats.unknown;
     stage.rank_model_seconds = rank_stats.model_seconds;

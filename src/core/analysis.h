@@ -108,8 +108,9 @@ struct StageMetrics {
 struct AnalysisReport {
   // Final, ranked findings (pruned and, by default, cross-scope only).
   std::vector<UnusedDefCandidate> findings;
-  // All candidates as detected, before authorship filtering and pruning
-  // (pruned_by records what pruned each one).
+  // All candidates as detected and classified by authorship, before the
+  // cross-scope filter; pruning only marks the filtered copies, so every
+  // entry's pruned_by stays none.
   std::vector<UnusedDefCandidate> raw_candidates;
   PruneStats prune_stats;
   // Candidates surviving pruning but dropped by the cross-scope filter.

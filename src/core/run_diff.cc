@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/core/incremental.h"
+#include "src/support/span_analysis.h"
 #include "src/support/json_writer.h"
 #include "src/support/table_writer.h"
 
@@ -123,6 +124,17 @@ void FillIncrementalMetrics(const IncrementalResult& result, LedgerMetrics& metr
   metrics.inc_findings_fixed = result.findings_fixed;
   metrics.inc_cache_hit_rate = result.cache.DetectHitRate();
   metrics.inc_seconds = result.seconds;
+}
+
+void FillPerfMetrics(const PerfReport& perf, LedgerMetrics& metrics) {
+  metrics.perf_collected = true;
+  metrics.perf_wall_seconds = perf.wall_seconds;
+  metrics.perf_critical_path_seconds = perf.critical_path_seconds;
+  metrics.perf_serial_fraction = perf.serial_fraction;
+  metrics.perf_utilization = perf.mean_utilization;
+  metrics.perf_max_busy_seconds = perf.max_busy_seconds;
+  metrics.perf_mean_busy_seconds = perf.mean_busy_seconds;
+  metrics.perf_imbalance_ratio = perf.imbalance_ratio;
 }
 
 RunDiff ComputeRunDiff(const RunRecord& a, const RunRecord& b,

@@ -33,6 +33,11 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
 struct IncrementalResult;
 void FillIncrementalMetrics(const IncrementalResult& result, LedgerMetrics& metrics);
 
+// Fills the ledger-v3 perf slice of `metrics` from a run's span analytics
+// (--perf-report), marking it collected.
+struct PerfReport;
+void FillPerfMetrics(const PerfReport& perf, LedgerMetrics& metrics);
+
 // What counts as a regression when diffing run A (baseline) → run B.
 struct RegressionThresholds {
   // Any new finding beyond this count fails the check. 0 = strict.

@@ -6,6 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 namespace vc {
 
@@ -79,6 +81,20 @@ bool ReadWholeFile(const std::string& path, std::string* out, std::string* error
     *error = "cannot read " + path + ": " + what;
   }
   return false;
+}
+
+bool EnsureParentDir(const std::string& path, std::string* error) {
+  std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (parent.empty()) {
+    return true;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(parent, ec);
+  if (ec) {
+    *error = "cannot create directory " + parent.string() + ": " + ec.message();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace vc

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -173,6 +174,12 @@ LedgerMetrics ReadMetrics(const JsonValue& value) {
 }
 
 }  // namespace
+
+int64_t NowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
 
 std::string RunRecordToJson(const RunRecord& record) {
   JsonWriter json;

@@ -170,6 +170,9 @@ struct RunRecord {
   LedgerMetrics metrics;
 };
 
+// The RunRecord::timestamp_ms clock: milliseconds since the Unix epoch.
+int64_t NowMs();
+
 // Serialization. One compact JSON object, no trailing newline.
 std::string RunRecordToJson(const RunRecord& record);
 std::optional<RunRecord> RunRecordFromJson(const std::string& line, std::string* error = nullptr);

@@ -13,6 +13,15 @@
 #ifndef VALUECHECK_CLI_PATH
 #define VALUECHECK_CLI_PATH "valuecheck"
 #endif
+#ifndef VC_CORPUSGEN_PATH
+#define VC_CORPUSGEN_PATH "vc_corpusgen"
+#endif
+#ifndef VC_FUZZ_PATH
+#define VC_FUZZ_PATH "vc_fuzz"
+#endif
+#ifndef VC_CHECKER_BUGS_PATH
+#define VC_CHECKER_BUGS_PATH "tests/data/checker_bugs.c"
+#endif
 
 namespace vc {
 namespace {
@@ -570,6 +579,77 @@ TEST_F(CliTest, TopLimitsTextOutput) {
   std::string path = Write("many.c", code);
   RunResult result = RunCli(path + " --top=2");
   EXPECT_NE(result.output.find("... 3 more"), std::string::npos);
+}
+
+// --- Malformed numeric values: exit 2 naming the flag, never a default -------
+
+TEST_F(CliTest, TopRejectsNonInteger) {
+  std::string path = Write("buggy.c", kBuggy);
+  RunResult result = RunCli("--top=abc " + path);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--top"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("more (raise --top)"), std::string::npos) << result.output;
+}
+
+TEST_F(CliTest, CorpusgenRejectsNonIntegerFiles) {
+  RunResult result = RunCommand(std::string(VC_CORPUSGEN_PATH) +
+                                " --profile linux-like --scale small --files abc --quiet --out " +
+                                (dir_ / "corpus").string() + " 2>&1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--files"), std::string::npos) << result.output;
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "corpus"));
+}
+
+TEST_F(CliTest, CorpusgenRejectsNonIntegerSeed) {
+  RunResult result = RunCommand(std::string(VC_CORPUSGEN_PATH) + " --history " +
+                                (dir_ / "h.vchist").string() + " --seed x --quiet 2>&1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--seed"), std::string::npos) << result.output;
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "h.vchist"));
+}
+
+TEST_F(CliTest, FuzzRejectsNonNumericTimeBudget) {
+  RunResult result = RunCommand(std::string(VC_FUZZ_PATH) +
+                                " --iters 1 --quiet --time-budget x --corpus-dir " +
+                                (dir_ / "fuzz").string() + " 2>&1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--time-budget"), std::string::npos) << result.output;
+}
+
+// --- Text-mode messages: one per default checker ---------------------------
+
+// Runs one checker over the one-bug-per-checker fixture in the default text
+// format; every warning must carry a message, and `line` must be among them.
+void ExpectWarning(const std::string& checker, const std::string& line) {
+  RunResult result = RunCliStdout("--checkers=" + checker + " " + VC_CHECKER_BUGS_PATH);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("checker_bugs.c:" + line + "\n"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("warning:  ["), std::string::npos) << result.output;
+}
+
+TEST(CliTextMessage, UnusedDef) {
+  ExpectWarning("unused-def", "9: warning: value of 'ret' is overwritten before use [in handle]");
+}
+
+TEST(CliTextMessage, DoubleOverwrite) {
+  ExpectWarning("double-overwrite",
+                "19: warning: store to 'x' is overwritten before any read [in overwrite]");
+}
+
+TEST(CliTextMessage, DeadGlobalStore) {
+  ExpectWarning("dead-global-store",
+                "24: warning: store to global 'counter' is overwritten before any read [in bump]");
+}
+
+TEST(CliTextMessage, OutParamUnused) {
+  ExpectWarning("out-param-unused",
+                "29: warning: out-parameter 'v' is filled by a call but never read [in drop_out]");
+}
+
+TEST(CliTextMessage, StaleCopy) {
+  ExpectWarning("stale-copy",
+                "34: warning: copy 'copy' is read after its source was modified [in snapshot]");
 }
 
 // --- Fault isolation ----------------------------------------------------------

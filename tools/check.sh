@@ -34,6 +34,7 @@ run_config() {
   cmake --build "${build_dir}" -j "${JOBS}" >/dev/null
   echo "=== [${name}] ctest ==="
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
+  cli_smoke "${name}" "${build_dir}"
   self_diff_smoke "${name}" "${build_dir}"
   checker_smoke "${name}" "${build_dir}"
   fuzz_smoke "${name}" "${build_dir}"
@@ -44,9 +45,60 @@ run_config() {
   serve_smoke "${name}" "${build_dir}"
 }
 
+# CLI smoke: every binary and valuecheck subcommand parses its flags from one
+# table that also renders its --help. For each command, --help must exit 0
+# and list every flag the command accepts (the lists below are the command
+# surface, so a dropped or renamed flag fails here), and a malformed value
+# must exit 2 naming the flag, with the usage text on stderr.
+cli_smoke() {
+  local name="$1"
+  local build_dir="$2"
+  echo "=== [${name}] cli smoke ==="
+  # command | every flag its --help must list | a malformed argument
+  local specs=(
+    "valuecheck analyze|--history --incremental --cache-dir --jobs --format --ledger --label --trace --profile --perf-report --events --metrics-out --progress --metrics --log-level --top --all-scopes --strict --fault-inject --define --no-prune-config --no-prune-cursor --no-prune-hints --no-prune-peer --stale-code --ea-model --checkers --list-checkers|--jobs=abc"
+    "valuecheck serve|--socket --port --max-inflight --max-queue --deadline-ms --idle-timeout --history-limit --jobs --ledger --label --metrics-out --events --allow-debug-sleep --log-level|--port=abc"
+    "valuecheck diff|--ledger --check --timings --format --max-new --stage-ratio --stage-floor --prune-drop|--max-new=abc"
+    "valuecheck history|--ledger --limit --compact|--limit=abc"
+    "valuecheck report|--ledger --html|--html"
+    "vc_loadgen|--socket --port --clients --warehouses --transactions --seed --jobs --deadline-ms --fault-inject --edit-rate --kill-rate --max-retries --timeout --files --out --ledger --label|--clients=abc"
+    "vc_corpusgen|--profile --scale --out --files --history --commits --modules --seed --quiet|--files=abc"
+    "vc_fuzz|--seed --iters --time-budget --oracles --checkers --corpus-dir --max-files --no-minimize --replay --inject-bug --quiet|--time-budget=abc"
+    "vc_obs_lint|--require-cache --require-serve|--require-cache=1"
+  )
+  local spec command flags bad rc flag help err argv
+  for spec in "${specs[@]}"; do
+    IFS='|' read -r command flags bad <<<"${spec}"
+    read -r -a argv <<<"${build_dir}/tools/${command}"
+    rc=0
+    help="$("${argv[@]}" --help 2>&1)" || rc=$?
+    if [ "${rc}" -ne 0 ]; then
+      echo "cli smoke: ${command} --help exited ${rc}, want 0" >&2
+      return 1
+    fi
+    for flag in ${flags}; do
+      if ! grep -Eq -- "^  ${flag}([= ,]|\$)" <<<"${help}"; then
+        echo "cli smoke: ${command} --help does not list ${flag}" >&2
+        return 1
+      fi
+    done
+    rc=0
+    err="$("${argv[@]}" "${bad}" 2>&1 >/dev/null)" || rc=$?
+    if [ "${rc}" -ne 2 ] || ! grep -q -- "${bad%%=*}" <<<"${err}" ||
+        ! grep -q "^usage: " <<<"${err}"; then
+      echo "cli smoke: ${command} ${bad} exited ${rc}; want 2, the flag named and the usage" >&2
+      printf '%s\n' "${err}" | head -3 >&2
+      return 1
+    fi
+  done
+  echo "cli smoke: ok"
+}
+
 # Per-checker smoke: every registered checker (from --list-checkers, baselines
-# included) must run alone over the examples corpus without a usage or
-# internal error (exit 0 or 1), and an unknown checker name must be rejected
+# included) must run alone over the examples corpus plus the one-bug-per-checker
+# fixture (tests/data/checker_bugs.c) without a usage or internal error (exit 0 or 1); every default
+# checker must report on the fixture, and no text-mode warning may have an
+# empty message ("warning:  ["). An unknown checker name must be rejected
 # with exit 2 plus the usage text.
 checker_smoke() {
   local name="$1"
@@ -59,12 +111,23 @@ checker_smoke() {
     echo "checker smoke: --list-checkers returned fewer than 5 checkers" >&2
     return 1
   fi
-  local checker rc
+  local defaults
+  defaults="$("${vc}" --list-checkers | awk -F'|' 'NR > 2 && $3 ~ /default/ { gsub(/ /, "", $2); print $2 }')"
+  local checker rc out
   for checker in ${checkers}; do
     rc=0
-    "${vc}" analyze --checkers "${checker}" --jobs 2 examples/corpus >/dev/null 2>&1 || rc=$?
+    out="$("${vc}" analyze --checkers "${checker}" --jobs 2 examples/corpus \
+      tests/data/checker_bugs.c 2>/dev/null)" || rc=$?
     if [ "${rc}" -ge 2 ]; then
       echo "checker smoke: --checkers ${checker} failed (exit ${rc})" >&2
+      return 1
+    fi
+    if grep 'warning:  \[' <<<"${out}" >&2; then
+      echo "checker smoke: --checkers ${checker} printed an empty warning message" >&2
+      return 1
+    fi
+    if grep -qx "${checker}" <<<"${defaults}" && ! grep -q 'warning: ' <<<"${out}"; then
+      echo "checker smoke: default checker ${checker} reported nothing on the fixture" >&2
       return 1
     fi
   done

@@ -31,9 +31,10 @@
 //       and flushes the ledger/metrics artifacts before exiting; drive it
 //       with vc_loadgen.
 //
-// Every analyze flag maps onto a vc::AnalysisOptions field (or a
-// report/output control); the flag table below is the single source of truth
-// and also renders --help.
+// Each command parses its flags from one vc::FlagTable (src/support/flags.h),
+// which also renders its --help. Every analyze flag maps onto a
+// vc::AnalysisOptions field (or a report/output control), named on the last
+// line of its help text.
 //
 // analyze exit codes: 0 no findings, 1 findings, 2 usage/parse error,
 // 3 quarantined units under --strict (graceful mode reports the quarantine on
@@ -47,12 +48,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +66,7 @@
 #include "src/server/server.h"
 #include "src/support/events.h"
 #include "src/support/file_io.h"
+#include "src/support/flags.h"
 #include "src/support/logging.h"
 #include "src/support/memstats.h"
 #include "src/support/metrics.h"
@@ -92,25 +92,11 @@ std::string ReadFileOrDie(const std::string& path) {
   return text;
 }
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-// Creates the parent directory of an output file path (no-op for bare
-// filenames). Returns false with a complaint when creation fails — output
-// flags must not silently drop their artifact.
-bool EnsureParentDir(const std::string& path) {
-  std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (parent.empty()) {
-    return true;
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  if (ec) {
-    std::fprintf(stderr, "valuecheck: cannot create directory %s: %s\n",
-                 parent.string().c_str(), ec.message().c_str());
+// EnsureParentDir, with the complaint on stderr.
+bool EnsureOutputDir(const std::string& path) {
+  std::string error;
+  if (!vc::EnsureParentDir(path, &error)) {
+    std::fprintf(stderr, "valuecheck: %s\n", error.c_str());
     return false;
   }
   return true;
@@ -153,273 +139,6 @@ struct CliOptions {
   std::vector<std::string> inputs;
 };
 
-// One registered command-line flag. `value_name` is empty for boolean
-// switches; `maps_to` names the AnalysisOptions field (or output control) the
-// flag drives, and is rendered in --help so the CLI surface documents the
-// API surface.
-struct FlagSpec {
-  const char* name;        // without the value part, e.g. "--jobs"
-  const char* value_name;  // e.g. "N"; nullptr for switches
-  const char* maps_to;     // e.g. "AnalysisOptions::jobs"
-  const char* help;
-  // Applies the flag; returns false (after printing to stderr) on a bad value.
-  bool (*apply)(CliOptions&, const std::string& value);
-};
-
-const FlagSpec kFlags[] = {
-    {"--history", "FILE", "input mode",
-     "load a vchist commit history (enables authorship, cross-scope\n"
-     "filtering, and familiarity ranking)",
-     [](CliOptions& o, const std::string& v) {
-       o.history_path = v;
-       return true;
-     }},
-    {"--incremental", nullptr, "incremental engine",
-     "replay the --history commits through the incremental engine:\n"
-     "each commit re-parses only its touched files and re-runs\n"
-     "checkers only on the dirty function slice, yet yields the\n"
-     "complete finding set as of that commit (byte-identical to a\n"
-     "full run). Per-commit work accounting goes to stderr; the\n"
-     "report printed on stdout is the one for the head commit",
-     [](CliOptions& o, const std::string&) {
-       o.incremental = true;
-       return true;
-     }},
-    {"--cache-dir", "DIR", "incremental engine",
-     "persist the per-file analysis cache under DIR so a later\n"
-     "--incremental run in a fresh process skips re-analyzing\n"
-     "functions whose file content, checker set, and configuration\n"
-     "are unchanged; corrupt entries degrade to a re-parse via the\n"
-     "quarantine channel, never a failed run",
-     [](CliOptions& o, const std::string& v) {
-       o.cache_dir = v;
-       return true;
-     }},
-    {"--jobs", "N", "AnalysisOptions::jobs",
-     "parallel worker lanes for parse/lower and detection\n"
-     "(default 1; 0 = all hardware threads; output is identical\n"
-     "at any value)",
-     [](CliOptions& o, const std::string& v) {
-       char* end = nullptr;
-       long jobs = std::strtol(v.c_str(), &end, 10);
-       if (end == v.c_str() || *end != '\0' || jobs < 0) {
-         std::fprintf(stderr, "valuecheck: --jobs expects a non-negative integer, got '%s'\n",
-                      v.c_str());
-         return false;
-       }
-       o.analysis.jobs = static_cast<int>(jobs);
-       return true;
-     }},
-    {"--format", "FMT", "output control",
-     "output format: text (default), csv, json, sarif",
-     [](CliOptions& o, const std::string& v) {
-       if (v != "text" && v != "csv" && v != "json" && v != "sarif") {
-         std::fprintf(stderr, "valuecheck: unknown format '%s' (expected text, csv, json, sarif)\n",
-                      v.c_str());
-         return false;
-       }
-       o.format = v;
-       return true;
-     }},
-    {"--ledger", "DIR", "run ledger",
-     "append this run (findings + fingerprints + metrics) to the\n"
-     "run ledger at DIR (created if missing); `valuecheck diff`,\n"
-     "`history`, and `report` read it back. Implies metrics\n"
-     "collection (findings stay byte-identical) without the\n"
-     "--metrics stderr tables",
-     [](CliOptions& o, const std::string& v) {
-       o.ledger_dir = v;
-       o.analysis.collect_metrics = true;
-       return true;
-     }},
-    {"--label", "NAME", "run ledger",
-     "free-form provenance label stored with the ledger record\n"
-     "(default: the input path or history file)",
-     [](CliOptions& o, const std::string& v) {
-       o.label = v;
-       return true;
-     }},
-    {"--trace", "FILE", "observability",
-     "write a Chrome trace-event JSON of the run (load in\n"
-     "chrome://tracing or Perfetto); parent dirs are created",
-     [](CliOptions& o, const std::string& v) {
-       o.trace_path = v;
-       return true;
-     }},
-    {"--profile", "FILE", "observability",
-     "write a collapsed-stack CPU profile of the run (one\n"
-     "`frame;frame count` line per stack, flamegraph.pl /\n"
-     "speedscope format); built from the same spans as --trace",
-     [](CliOptions& o, const std::string& v) {
-       o.profile_path = v;
-       return true;
-     }},
-    {"--perf-report", "FILE", "observability",
-     "write per-run performance analytics as JSON: critical path\n"
-     "(folded listing), Amdahl serial fraction, per-worker\n"
-     "utilization timelines, imbalance and steal-latency stats;\n"
-     "validate with `vc_obs_lint perf FILE`",
-     [](CliOptions& o, const std::string& v) {
-       o.perf_report_path = v;
-       o.analysis.collect_metrics = true;
-       return true;
-     }},
-    {"--events", "FILE", "observability",
-     "stream machine-readable run events (run_start, per-file and\n"
-     "per-stage stage_start/stage_end, checker_done, quarantine,\n"
-     "run_end) as JSON lines to FILE while the run executes",
-     [](CliOptions& o, const std::string& v) {
-       o.events_path = v;
-       return true;
-     }},
-    {"--metrics-out", "FILE", "observability",
-     "dump the metrics registry (every counter, gauge, and\n"
-     "histogram, including mem.*) in Prometheus text exposition\n"
-     "format to FILE; implies metrics collection without the\n"
-     "--metrics stderr tables",
-     [](CliOptions& o, const std::string& v) {
-       o.metrics_out_path = v;
-       o.analysis.collect_metrics = true;
-       return true;
-     }},
-    {"--progress", nullptr, "observability",
-     "live one-line progress heartbeat on stderr (files/functions\n"
-     "done, findings, throughput, ETA); findings on stdout are\n"
-     "byte-identical with or without it",
-     [](CliOptions& o, const std::string&) {
-       o.progress = true;
-       return true;
-     }},
-    {"--metrics", nullptr, "AnalysisOptions::collect_metrics",
-     "collect per-stage metrics and print a stats table to stderr",
-     [](CliOptions& o, const std::string&) {
-       o.metrics = true;
-       o.analysis.collect_metrics = true;
-       return true;
-     }},
-    {"--log-level", "LEVEL", "observability",
-     "stderr log verbosity: error, warn (default), info, debug",
-     [](CliOptions& o, const std::string& v) {
-       std::optional<vc::LogLevel> level = vc::ParseLogLevel(v);
-       if (!level.has_value()) {
-         std::fprintf(stderr,
-                      "valuecheck: unknown log level '%s' (expected error, warn, info, debug)\n",
-                      v.c_str());
-         return false;
-       }
-       vc::SetLogLevel(*level);
-       return true;
-     }},
-    {"--top", "K", "output control",
-     "print only the K highest-ranked findings (text mode)",
-     [](CliOptions& o, const std::string& v) {
-       o.top = std::atoi(v.c_str());
-       return true;
-     }},
-    {"--all-scopes", nullptr, "AnalysisOptions::cross_scope_only",
-     "keep non-cross-scope findings even in history mode",
-     [](CliOptions& o, const std::string&) {
-       o.all_scopes = true;
-       return true;
-     }},
-    {"--strict", nullptr, "fault isolation",
-     "exit 3 when any unit was quarantined (default: graceful —\n"
-     "report the surviving findings, note the quarantine on stderr,\n"
-     "and exit 0/1 as usual)",
-     [](CliOptions& o, const std::string&) {
-       o.strict = true;
-       return true;
-     }},
-    {"--fault-inject", "SEED:RATE", "AnalysisOptions::fault",
-     "deterministically quarantine ~RATE of units at seeded\n"
-     "injection sites (robustness testing; e.g. 42:0.1). The\n"
-     "quarantine list and surviving findings are identical at any\n"
-     "--jobs for a given SEED:RATE",
-     [](CliOptions& o, const std::string& v) {
-       std::string error;
-       std::optional<vc::FaultInjector> fault = vc::FaultInjector::Parse(v, &error);
-       if (!fault.has_value()) {
-         std::fprintf(stderr, "valuecheck: --fault-inject: %s\n", error.c_str());
-         return false;
-       }
-       o.analysis.fault = *fault;
-       return true;
-     }},
-    {"--define", "NAME[=V]", "AnalysisOptions::config",
-     "define a preprocessor macro for #if evaluation",
-     [](CliOptions& o, const std::string& v) {
-       size_t eq = v.find('=');
-       if (eq == std::string::npos) {
-         o.analysis.config.Define(v);
-       } else {
-         o.analysis.config.Define(v.substr(0, eq),
-                                  std::strtoll(v.c_str() + eq + 1, nullptr, 0));
-       }
-       return true;
-     }},
-    {"--no-prune-config", nullptr, "AnalysisOptions::prune.config_dependency",
-     "disable configuration-dependency pruning",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.prune.config_dependency = false;
-       return true;
-     }},
-    {"--no-prune-cursor", nullptr, "AnalysisOptions::prune.cursor",
-     "disable cursor-pattern pruning",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.prune.cursor = false;
-       return true;
-     }},
-    {"--no-prune-hints", nullptr, "AnalysisOptions::prune.unused_hints",
-     "disable unused-hint pruning",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.prune.unused_hints = false;
-       return true;
-     }},
-    {"--no-prune-peer", nullptr, "AnalysisOptions::prune.peer_definition",
-     "disable peer-definition pruning",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.prune.peer_definition = false;
-       return true;
-     }},
-    {"--stale-code", nullptr, "AnalysisOptions::prune.stale_code",
-     "enable commit-history stale-code pruning (needs history)",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.prune.stale_code = true;
-       return true;
-     }},
-    {"--ea-model", nullptr, "AnalysisOptions::ranking.use_ea_model",
-     "rank with the EA familiarity model instead of DOK",
-     [](CliOptions& o, const std::string&) {
-       o.analysis.ranking.use_ea_model = true;
-       return true;
-     }},
-    {"--checkers", "LIST", "AnalysisOptions::checkers",
-     "comma-separated checker names to run (see --list-checkers;\n"
-     "default: every non-baseline checker)",
-     [](CliOptions& o, const std::string& v) {
-       std::vector<std::string> names;
-       for (std::string_view part : vc::Split(v, ',')) {
-         std::string name = std::string(vc::Trim(part));
-         if (name.empty()) {
-           continue;
-         }
-         if (vc::CheckerRegistry::Global().Find(name) == nullptr) {
-           std::fprintf(stderr,
-                        "valuecheck: --checkers: unknown checker '%s' (see --list-checkers)\n",
-                        name.c_str());
-           return false;
-         }
-         names.push_back(std::move(name));
-       }
-       if (names.empty()) {
-         std::fprintf(stderr, "valuecheck: --checkers expects at least one checker name\n");
-         return false;
-       }
-       o.analysis.checkers = std::move(names);
-       return true;
-     }},
-};
-
 void PrintCheckerList(FILE* out) {
   vc::TableWriter table({"name", "kind", "description"});
   for (const vc::Checker* checker : vc::CheckerRegistry::Global().All()) {
@@ -433,136 +152,232 @@ void PrintCheckerList(FILE* out) {
       out);
 }
 
-void PrintUsage(FILE* out) {
-  std::fputs(
-      "usage: valuecheck [analyze] [options] <file.c|dir>... | --history <file.vchist>\n"
-      "       valuecheck diff    [--ledger DIR] [runA runB] [--check] [diff options]\n"
-      "       valuecheck history [--ledger DIR] [--limit N] [--compact N]\n"
-      "       valuecheck report  [--ledger DIR] --html FILE\n"
-      "       valuecheck serve   [--socket PATH | --port N] (see serve --help)\n"
-      "\n"
-      "Arguments after `--` are always input paths, never flags.\n"
-      "Run selectors: latest, prev, rNNNN, N (1-based), -N (from newest).\n"
-      "\nanalyze options:\n",
-      out);
-  for (const FlagSpec& flag : kFlags) {
-    std::string head = flag.name;
-    if (flag.value_name != nullptr) {
-      head += "=";
-      head += flag.value_name;
-    }
-    std::fprintf(out, "  %-21s", head.c_str());
-    if (head.size() > 21) {
-      std::fprintf(out, "\n  %-21s", "");
-    }
-    // Help text may span lines; keep continuation lines aligned.
-    const char* text = flag.help;
-    bool first = true;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!first) {
-        std::fprintf(out, "  %-21s", "");
-      }
-      std::fprintf(out, "%s\n", line.c_str());
-      first = false;
-    }
-    std::fprintf(out, "  %-21s[%s]\n", "", flag.maps_to);
-  }
-  std::fputs(
-      "  --list-checkers      print the registered checkers and exit\n"
-      "  --help, -h           print this summary\n"
-      "\ndiff options:\n"
-      "  --check              exit 1 on new findings or metric regressions\n"
-      "  --timings            include (nondeterministic) stage-timing deltas\n"
-      "  --format=FMT         text (default) or json\n"
-      "  --max-new=N          allowed new findings before --check fails (default 0)\n"
-      "  --stage-ratio=X      stage-seconds regression ratio (default 1.5)\n"
-      "  --stage-floor=SEC    ignore stage growth below this many seconds (default 0.05)\n"
-      "  --prune-drop=X       allowed absolute prune-rate drop (default 0.10)\n",
-      out);
+bool IsRegisteredChecker(const std::string& name) {
+  return vc::CheckerRegistry::Global().Find(name) != nullptr;
 }
 
-const FlagSpec* FindFlag(const std::string& name) {
-  for (const FlagSpec& flag : kFlags) {
-    if (name == flag.name) {
-      return &flag;
-    }
-  }
-  return nullptr;
+// --log-level, shared by analyze and serve.
+vc::FlagSpec LogLevelFlag() {
+  return {"--log-level", "LEVEL", "stderr log verbosity: error, warn (default), info, debug",
+          [](const std::string& v) {
+            std::optional<vc::LogLevel> level = vc::ParseLogLevel(v);
+            if (!level.has_value()) {
+              return "unknown log level '" + v + "' (expected error, warn, info, debug)";
+            }
+            vc::SetLogLevel(*level);
+            return std::string();
+          }};
 }
 
-bool ParseAnalyzeArgs(const std::vector<std::string>& args, CliOptions& options) {
-  bool only_inputs = false;  // set once `--` is seen
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (only_inputs) {
-      options.inputs.push_back(arg);
-      continue;
-    }
-    if (arg == "--") {
-      only_inputs = true;
-      continue;
-    }
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      std::exit(0);
-    }
-    if (arg == "--list-checkers") {
-      PrintCheckerList(stdout);
-      std::exit(0);
-    }
-    if (arg.rfind("--", 0) != 0) {
-      options.inputs.push_back(arg);
-      continue;
-    }
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
-    }
-    const FlagSpec* flag = FindFlag(name);
-    if (flag == nullptr) {
-      std::fprintf(stderr, "valuecheck: unknown option %s\n", arg.c_str());
-      PrintUsage(stderr);
-      return false;
-    }
-    if (flag->value_name != nullptr && !has_value) {
-      // Allow the "--flag VALUE" spelling.
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "valuecheck: %s expects a value\n", name.c_str());
-        return false;
-      }
-      value = args[++i];
-    } else if (flag->value_name == nullptr && has_value) {
-      std::fprintf(stderr, "valuecheck: %s does not take a value\n", name.c_str());
-      return false;
-    }
-    if (!flag->apply(options, value)) {
-      // Bad flag values (e.g. --format/--log-level typos) never silently
-      // default: the apply hook printed the specific complaint, we add the
-      // usage summary, and main exits non-zero.
-      PrintUsage(stderr);
-      return false;
-    }
+// The analyze flags. Each help text ends with the AnalysisOptions field (or
+// output control) the flag drives, so --help documents the API surface.
+vc::FlagTable AnalyzeFlags(CliOptions& o) {
+  return {"valuecheck",
+          "usage: valuecheck [analyze] [options] <file.c|dir>... | --history <file.vchist>\n"
+          "       valuecheck diff    [--ledger DIR] [runA runB] [--check] [diff options]\n"
+          "       valuecheck history [--ledger DIR] [--limit N] [--compact N]\n"
+          "       valuecheck report  [--ledger DIR] --html FILE\n"
+          "       valuecheck serve   [--socket PATH | --port N] [serve options]\n"
+          "\n"
+          "`valuecheck COMMAND --help` lists the options of the other commands.\n"
+          "Arguments after `--` are always input paths, never flags.\n"
+          "\nanalyze options:\n",
+          {
+              {"--history", "FILE",
+               "load a vchist commit history (enables authorship, cross-scope\n"
+               "filtering, and familiarity ranking)\n"
+               "[input mode]",
+               vc::StoreString(o.history_path)},
+              {"--incremental", nullptr,
+               "replay the --history commits through the incremental engine:\n"
+               "each commit re-parses only its touched files and re-runs\n"
+               "checkers only on the dirty function slice, yet yields the\n"
+               "complete finding set as of that commit (byte-identical to a\n"
+               "full run). Per-commit work accounting goes to stderr; the\n"
+               "report printed on stdout is the one for the head commit\n"
+               "[incremental engine]",
+               vc::SetBool(o.incremental)},
+              {"--cache-dir", "DIR",
+               "persist the per-file analysis cache under DIR so a later\n"
+               "--incremental run in a fresh process skips re-analyzing\n"
+               "functions whose file content, checker set, and configuration\n"
+               "are unchanged; corrupt entries degrade to a re-parse via the\n"
+               "quarantine channel, never a failed run\n"
+               "[incremental engine]",
+               vc::StoreString(o.cache_dir)},
+              {"--jobs", "N",
+               "parallel worker lanes for parse/lower and detection\n"
+               "(default 1; 0 = all hardware threads; output is identical\n"
+               "at any value)\n"
+               "[AnalysisOptions::jobs]",
+               vc::StoreInt(o.analysis.jobs, 0)},
+              {"--format", "FMT",
+               "output format: text (default), csv, json, sarif\n"
+               "[output control]",
+               [&o](const std::string& v) {
+                 if (v != "text" && v != "csv" && v != "json" && v != "sarif") {
+                   return "unknown format '" + v + "' (expected text, csv, json, sarif)";
+                 }
+                 o.format = v;
+                 return std::string();
+               }},
+              {"--ledger", "DIR",
+               "append this run (findings + fingerprints + metrics) to the\n"
+               "run ledger at DIR (created if missing); `valuecheck diff`,\n"
+               "`history`, and `report` read it back. Implies metrics\n"
+               "collection (findings stay byte-identical) without the\n"
+               "--metrics stderr tables\n"
+               "[run ledger]",
+               vc::StoreString(o.ledger_dir)},
+              {"--label", "NAME",
+               "free-form provenance label stored with the ledger record\n"
+               "(default: the input path or history file)\n"
+               "[run ledger]",
+               vc::StoreString(o.label)},
+              {"--trace", "FILE",
+               "write a Chrome trace-event JSON of the run (load in\n"
+               "chrome://tracing or Perfetto); parent dirs are created\n"
+               "[observability]",
+               vc::StoreString(o.trace_path)},
+              {"--profile", "FILE",
+               "write a collapsed-stack CPU profile of the run (one\n"
+               "`frame;frame count` line per stack, flamegraph.pl /\n"
+               "speedscope format); built from the same spans as --trace\n"
+               "[observability]",
+               vc::StoreString(o.profile_path)},
+              {"--perf-report", "FILE",
+               "write per-run performance analytics as JSON: critical path\n"
+               "(folded listing), Amdahl serial fraction, per-worker\n"
+               "utilization timelines, imbalance and steal-latency stats;\n"
+               "validate with `vc_obs_lint perf FILE`\n"
+               "[observability]",
+               vc::StoreString(o.perf_report_path)},
+              {"--events", "FILE",
+               "stream machine-readable run events (run_start, per-file and\n"
+               "per-stage stage_start/stage_end, checker_done, quarantine,\n"
+               "run_end) as JSON lines to FILE while the run executes\n"
+               "[observability]",
+               vc::StoreString(o.events_path)},
+              {"--metrics-out", "FILE",
+               "dump the metrics registry (every counter, gauge, and\n"
+               "histogram, including mem.*) in Prometheus text exposition\n"
+               "format to FILE; implies metrics collection without the\n"
+               "--metrics stderr tables\n"
+               "[observability]",
+               vc::StoreString(o.metrics_out_path)},
+              {"--progress", nullptr,
+               "live one-line progress heartbeat on stderr (files/functions\n"
+               "done, findings, throughput, ETA); findings on stdout are\n"
+               "byte-identical with or without it\n"
+               "[observability]",
+               vc::SetBool(o.progress)},
+              {"--metrics", nullptr,
+               "collect per-stage metrics and print a stats table to stderr\n"
+               "[AnalysisOptions::collect_metrics]",
+               vc::SetBool(o.metrics)},
+              LogLevelFlag(),
+              {"--top", "K",
+               "print only the K highest-ranked findings (text mode)\n"
+               "[output control]",
+               vc::StoreInt(o.top, 0)},
+              {"--all-scopes", nullptr,
+               "keep non-cross-scope findings even in history mode\n"
+               "[AnalysisOptions::cross_scope_only]",
+               vc::SetBool(o.all_scopes)},
+              {"--strict", nullptr,
+               "exit 3 when any unit was quarantined (default: graceful —\n"
+               "report the surviving findings, note the quarantine on stderr,\n"
+               "and exit 0/1 as usual)\n"
+               "[fault isolation]",
+               vc::SetBool(o.strict)},
+              {"--fault-inject", "SEED:RATE",
+               "deterministically quarantine ~RATE of units at seeded\n"
+               "injection sites (robustness testing; e.g. 42:0.1). The\n"
+               "quarantine list and surviving findings are identical at any\n"
+               "--jobs for a given SEED:RATE\n"
+               "[AnalysisOptions::fault]",
+               [&o](const std::string& v) {
+                 std::string error;
+                 std::optional<vc::FaultInjector> fault = vc::FaultInjector::Parse(v, &error);
+                 if (fault.has_value()) {
+                   o.analysis.fault = *fault;
+                 }
+                 return error;
+               }},
+              {"--define", "NAME[=V]",
+               "define a preprocessor macro for #if evaluation\n"
+               "[AnalysisOptions::config]",
+               [&o](const std::string& v) {
+                 size_t eq = v.find('=');
+                 if (eq == std::string::npos) {
+                   o.analysis.config.Define(v);
+                 } else {
+                   o.analysis.config.Define(v.substr(0, eq),
+                                            std::strtoll(v.c_str() + eq + 1, nullptr, 0));
+                 }
+                 return std::string();
+               }},
+              {"--no-prune-config", nullptr,
+               "disable configuration-dependency pruning\n"
+               "[AnalysisOptions::prune.config_dependency]",
+               vc::SetBool(o.analysis.prune.config_dependency, false)},
+              {"--no-prune-cursor", nullptr,
+               "disable cursor-pattern pruning\n"
+               "[AnalysisOptions::prune.cursor]",
+               vc::SetBool(o.analysis.prune.cursor, false)},
+              {"--no-prune-hints", nullptr,
+               "disable unused-hint pruning\n"
+               "[AnalysisOptions::prune.unused_hints]",
+               vc::SetBool(o.analysis.prune.unused_hints, false)},
+              {"--no-prune-peer", nullptr,
+               "disable peer-definition pruning\n"
+               "[AnalysisOptions::prune.peer_definition]",
+               vc::SetBool(o.analysis.prune.peer_definition, false)},
+              {"--stale-code", nullptr,
+               "enable commit-history stale-code pruning (needs history)\n"
+               "[AnalysisOptions::prune.stale_code]",
+               vc::SetBool(o.analysis.prune.stale_code)},
+              {"--ea-model", nullptr,
+               "rank with the EA familiarity model instead of DOK\n"
+               "[AnalysisOptions::ranking.use_ea_model]",
+               vc::SetBool(o.analysis.ranking.use_ea_model)},
+              {"--checkers", "LIST",
+               "comma-separated checker names to run (see --list-checkers;\n"
+               "default: every non-baseline checker)\n"
+               "[AnalysisOptions::checkers]",
+               vc::StoreList(o.analysis.checkers, IsRegisteredChecker, "checker")},
+              {"--list-checkers", nullptr, "print the registered checkers and exit",
+               [](const std::string&) {
+                 PrintCheckerList(stdout);
+                 std::exit(0);
+                 return std::string();
+               }},
+          }};
+}
+
+// Returns the exit code when analyze must stop before running.
+std::optional<int> ParseAnalyzeArgs(const std::vector<std::string>& args, CliOptions& options) {
+  const vc::FlagTable table = AnalyzeFlags(options);
+  if (std::optional<int> done = vc::ParseFlags(table, args, &options.inputs)) {
+    return done;
   }
   if (options.history_path.empty() && options.inputs.empty()) {
-    PrintUsage(stderr);
-    return false;
+    std::fputs(vc::RenderUsage(table).c_str(), stderr);
+    return 2;
   }
   if (options.incremental && options.history_path.empty()) {
     std::fprintf(stderr, "valuecheck: --incremental requires --history (a commit sequence)\n");
-    return false;
+    return 2;
   }
   if (!options.cache_dir.empty() && !options.incremental) {
     std::fprintf(stderr, "valuecheck: --cache-dir only applies with --incremental\n");
-    return false;
+    return 2;
   }
-  return true;
+  // The flags that need the metrics registry; findings stay byte-identical.
+  options.analysis.collect_metrics = options.metrics || !options.ledger_dir.empty() ||
+                                     !options.perf_report_path.empty() ||
+                                     !options.metrics_out_path.empty();
+  return std::nullopt;
 }
 
 std::vector<std::pair<std::string, std::string>> CollectSources(
@@ -631,6 +446,20 @@ void PrintText(const vc::AnalysisReport& report, const vc::Repository* repo, int
           std::printf("value of '%s' is never used", cand.slot_name.c_str());
         }
         break;
+      case CandidateKind::kDoubleOverwrite:
+        std::printf("store to '%s' is overwritten before any read", cand.slot_name.c_str());
+        break;
+      case CandidateKind::kDeadGlobalStore:
+        std::printf("store to global '%s' is overwritten before any read",
+                    cand.slot_name.c_str());
+        break;
+      case CandidateKind::kOutParamUnused:
+        std::printf("out-parameter '%s' is filled by a call but never read",
+                    cand.slot_name.c_str());
+        break;
+      case CandidateKind::kStaleCopy:
+        std::printf("copy '%s' is read after its source was modified", cand.slot_name.c_str());
+        break;
     }
     std::printf(" [in %s]", cand.function.c_str());
     if (repo != nullptr && cand.responsible_author != kInvalidAuthor && ranked) {
@@ -689,8 +518,8 @@ std::string SummarizeOptions(const CliOptions& options, bool has_history) {
 int RunAnalyze(const std::vector<std::string>& args) {
   using namespace vc;
   CliOptions options;
-  if (!ParseAnalyzeArgs(args, options)) {
-    return 2;
+  if (std::optional<int> done = ParseAnalyzeArgs(args, options)) {
+    return *done;
   }
   // First SIGINT/SIGTERM requests a graceful stop: the run finishes its
   // current unit of work (the current commit in --incremental replays, the
@@ -700,7 +529,7 @@ int RunAnalyze(const std::vector<std::string>& args) {
 
   for (const std::string* path : {&options.trace_path, &options.profile_path,
                                   &options.perf_report_path, &options.metrics_out_path}) {
-    if (!path->empty() && !EnsureParentDir(*path)) {
+    if (!path->empty() && !EnsureOutputDir(*path)) {
       return 2;
     }
   }
@@ -713,7 +542,7 @@ int RunAnalyze(const std::vector<std::string>& args) {
     TraceCollector::Global().Enable();
   }
   if (!options.events_path.empty()) {
-    if (!EnsureParentDir(options.events_path) ||
+    if (!EnsureOutputDir(options.events_path) ||
         !RunEventLog::Global().Open(options.events_path)) {
       std::fprintf(stderr, "valuecheck: cannot write events to %s\n",
                    options.events_path.c_str());
@@ -905,14 +734,7 @@ int RunAnalyze(const std::vector<std::string>& args) {
     RunRecord record = MakeRunRecord(report, label, NowMs());
     record.options_summary = SummarizeOptions(options, has_history);
     if (perf.has_value()) {
-      record.metrics.perf_collected = true;
-      record.metrics.perf_wall_seconds = perf->wall_seconds;
-      record.metrics.perf_critical_path_seconds = perf->critical_path_seconds;
-      record.metrics.perf_serial_fraction = perf->serial_fraction;
-      record.metrics.perf_utilization = perf->mean_utilization;
-      record.metrics.perf_max_busy_seconds = perf->max_busy_seconds;
-      record.metrics.perf_mean_busy_seconds = perf->mean_busy_seconds;
-      record.metrics.perf_imbalance_ratio = perf->imbalance_ratio;
+      FillPerfMetrics(*perf, record.metrics);
     }
     std::string error;
     RunLedger ledger(options.ledger_dir);
@@ -979,158 +801,79 @@ struct ServeArgs {
   std::string events_path;
 };
 
-void PrintServeUsage(FILE* out) {
-  std::fputs(
-      "usage: valuecheck serve [--socket PATH | --port N] [options]\n"
-      "\n"
-      "  --socket=PATH        listen on a Unix-domain socket (stale file replaced)\n"
-      "  --port=N             listen on TCP loopback (0 = ephemeral; the resolved\n"
-      "                       address is printed on stdout either way)\n"
-      "  --max-inflight=N     concurrently executing requests (default 2)\n"
-      "  --max-queue=N        queued requests beyond that before shedding with\n"
-      "                       RETRY_AFTER (default 8)\n"
-      "  --deadline-ms=X      default per-request deadline when a request carries\n"
-      "                       none (0 = unlimited)\n"
-      "  --idle-timeout=SEC   drop a connection idle mid-frame this long\n"
-      "                       (slow-loris guard; default 30)\n"
-      "  --history-limit=N    per-project run summaries kept for diff/history\n"
-      "                       (default 64)\n"
-      "  --jobs=N             worker lanes for requests that don't set jobs\n"
-      "  --ledger=DIR         append a serve-session record (request accounting,\n"
-      "                       QPS, p50/p95/p99) to the run ledger on drain\n"
-      "  --label=NAME         ledger record label (default: serve)\n"
-      "  --metrics-out=FILE   dump the vc_serve_* metric family (Prometheus text\n"
-      "                       format) after the drain\n"
-      "  --events=FILE        stream serve_start/serve_drain/serve_end run events\n"
-      "  --allow-debug-sleep  honor the request debug_sleep_ms field (tests only)\n"
-      "  --log-level=LEVEL    stderr log verbosity\n"
-      "\n"
-      "The daemon drains on SIGINT/SIGTERM (or a client `shutdown` request):\n"
-      "new work is shed, in-flight requests finish and respond, artifacts are\n"
-      "flushed, and the exit status reports whether accounting balanced.\n",
-      out);
-}
-
-bool ParseServeArgs(const std::vector<std::string>& args, ServeArgs& out) {
-  auto bad = [&](const std::string& message) {
-    std::fprintf(stderr, "valuecheck serve: %s\n", message.c_str());
-    PrintServeUsage(stderr);
-    return false;
-  };
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintServeUsage(stdout);
-      std::exit(0);
-    }
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
-    }
-    auto need_value = [&]() {
-      if (has_value) {
-        return true;
-      }
-      if (i + 1 >= args.size()) {
-        return bad(name + " expects a value");
-      }
-      value = args[++i];
-      return true;
-    };
-    auto parse_nonneg_int = [&](int& into) {
-      char* end = nullptr;
-      long parsed = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || parsed < 0) {
-        return bad(name + " expects a non-negative integer, got '" + value + "'");
-      }
-      into = static_cast<int>(parsed);
-      return true;
-    };
-    auto parse_nonneg_double = [&](double& into) {
-      char* end = nullptr;
-      double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || parsed < 0) {
-        return bad(name + " expects a non-negative number, got '" + value + "'");
-      }
-      into = parsed;
-      return true;
-    };
-    if (name == "--socket") {
-      if (!need_value()) return false;
-      out.server.socket_path = value;
-    } else if (name == "--port") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_int(out.server.tcp_port)) return false;
-    } else if (name == "--max-inflight") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_int(out.server.max_inflight)) return false;
-      if (out.server.max_inflight < 1) {
-        return bad("--max-inflight must be at least 1");
-      }
-    } else if (name == "--max-queue") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_int(out.server.max_queue)) return false;
-    } else if (name == "--deadline-ms") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_double(out.server.default_deadline_ms)) return false;
-    } else if (name == "--idle-timeout") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_double(out.server.idle_read_timeout_seconds)) return false;
-    } else if (name == "--history-limit") {
-      if (!need_value()) return false;
-      int limit = 0;
-      if (!parse_nonneg_int(limit)) return false;
-      out.server.history_limit = static_cast<size_t>(limit);
-    } else if (name == "--jobs") {
-      if (!need_value()) return false;
-      if (!parse_nonneg_int(out.server.analysis.jobs)) return false;
-    } else if (name == "--ledger") {
-      if (!need_value()) return false;
-      out.ledger_dir = value;
-    } else if (name == "--label") {
-      if (!need_value()) return false;
-      out.label = value;
-    } else if (name == "--metrics-out") {
-      if (!need_value()) return false;
-      out.metrics_out_path = value;
-    } else if (name == "--events") {
-      if (!need_value()) return false;
-      out.events_path = value;
-    } else if (name == "--allow-debug-sleep") {
-      out.server.allow_debug_sleep = true;
-    } else if (name == "--log-level") {
-      if (!need_value()) return false;
-      std::optional<vc::LogLevel> level = vc::ParseLogLevel(value);
-      if (!level.has_value()) {
-        return bad("unknown log level '" + value + "'");
-      }
-      vc::SetLogLevel(*level);
-    } else {
-      return bad("unknown option " + arg);
-    }
-  }
-  return true;
+vc::FlagTable ServeFlags(ServeArgs& out) {
+  return {"valuecheck serve",
+          "usage: valuecheck serve [--socket PATH | --port N] [options]\n\n",
+          {
+              {"--socket", "PATH", "listen on a Unix-domain socket (stale file replaced)",
+               vc::StoreString(out.server.socket_path)},
+              {"--port", "N",
+               "listen on TCP loopback (0 = ephemeral; the resolved\n"
+               "address is printed on stdout either way)",
+               vc::StoreInt(out.server.tcp_port, 0)},
+              {"--max-inflight", "N", "concurrently executing requests (default 2)",
+               vc::StoreInt(out.server.max_inflight, 1)},
+              {"--max-queue", "N",
+               "queued requests beyond that before shedding with\n"
+               "RETRY_AFTER (default 8)",
+               vc::StoreInt(out.server.max_queue, 0)},
+              {"--deadline-ms", "X",
+               "default per-request deadline when a request carries\n"
+               "none (0 = unlimited)",
+               vc::StoreDouble(out.server.default_deadline_ms)},
+              {"--idle-timeout", "SEC",
+               "drop a connection idle mid-frame this long\n"
+               "(slow-loris guard; default 30)",
+               vc::StoreDouble(out.server.idle_read_timeout_seconds)},
+              {"--history-limit", "N",
+               "per-project run summaries kept for diff/history\n"
+               "(default 64)",
+               [&out](const std::string& v) {
+                 int limit = 0;
+                 std::string complaint = vc::StoreInt(limit, 0)(v);
+                 if (complaint.empty()) {
+                   out.server.history_limit = static_cast<size_t>(limit);
+                 }
+                 return complaint;
+               }},
+              {"--jobs", "N", "worker lanes for requests that don't set jobs",
+               vc::StoreInt(out.server.analysis.jobs, 0)},
+              {"--ledger", "DIR",
+               "append a serve-session record (request accounting,\n"
+               "QPS, p50/p95/p99) to the run ledger on drain",
+               vc::StoreString(out.ledger_dir)},
+              {"--label", "NAME", "ledger record label (default: serve)",
+               vc::StoreString(out.label)},
+              {"--metrics-out", "FILE",
+               "dump the vc_serve_* metric family (Prometheus text\n"
+               "format) after the drain",
+               vc::StoreString(out.metrics_out_path)},
+              {"--events", "FILE", "stream serve_start/serve_drain/serve_end run events",
+               vc::StoreString(out.events_path)},
+              {"--allow-debug-sleep", nullptr,
+               "honor the request debug_sleep_ms field (tests only)",
+               vc::SetBool(out.server.allow_debug_sleep)},
+              LogLevelFlag(),
+          },
+          "The daemon drains on SIGINT/SIGTERM (or a client `shutdown` request):\n"
+          "new work is shed, in-flight requests finish and respond, artifacts are\n"
+          "flushed, and the exit status reports whether accounting balanced.\n"};
 }
 
 int RunServeCommand(const std::vector<std::string>& args) {
   using namespace vc;
   ServeArgs parsed;
-  if (!ParseServeArgs(args, parsed)) {
-    return 2;
+  if (std::optional<int> done = ParseFlags(ServeFlags(parsed), args, nullptr)) {
+    return *done;
   }
   if (!parsed.metrics_out_path.empty()) {
-    if (!EnsureParentDir(parsed.metrics_out_path)) {
+    if (!EnsureOutputDir(parsed.metrics_out_path)) {
       return 2;
     }
     MetricsRegistry::Global().Enable();
   }
   if (!parsed.events_path.empty()) {
-    if (!EnsureParentDir(parsed.events_path) ||
+    if (!EnsureOutputDir(parsed.events_path) ||
         !RunEventLog::Global().Open(parsed.events_path)) {
       std::fprintf(stderr, "valuecheck serve: cannot write events to %s\n",
                    parsed.events_path.c_str());
@@ -1241,140 +984,62 @@ int RunServeCommand(const std::vector<std::string>& args) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared flag scanning for the ledger subcommands (small enough that the
-// table machinery above would be overhead).
+// Ledger subcommands: diff, history, report
 // ---------------------------------------------------------------------------
 
-struct LedgerArgs {
-  std::string ledger_dir = ".vc-ledger";
-  std::vector<std::string> positionals;
-  // diff
-  bool check = false;
-  bool timings = false;
-  std::string format = "text";
-  vc::RegressionThresholds thresholds;
-  // history
-  int limit = -1;
-  int compact = -1;
-  // report
-  std::string html_path;
-};
-
-// Parses "--name=value" / "--name value" / boolean flags from a spec of
-// recognized names. Returns false on an unknown flag or missing value.
-bool ParseLedgerArgs(const std::string& subcommand, const std::vector<std::string>& args,
-                     LedgerArgs& out) {
-  auto bad = [&](const std::string& message) {
-    std::fprintf(stderr, "valuecheck %s: %s\n", subcommand.c_str(), message.c_str());
-    PrintUsage(stderr);
-    return false;
-  };
-  auto parse_double = [&](const std::string& name, const std::string& value, double& into) {
-    char* end = nullptr;
-    double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || parsed < 0) {
-      return bad(name + " expects a non-negative number, got '" + value + "'");
-    }
-    into = parsed;
-    return true;
-  };
-  auto parse_int = [&](const std::string& name, const std::string& value, int& into) {
-    char* end = nullptr;
-    long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed < 0) {
-      return bad(name + " expects a non-negative integer, got '" + value + "'");
-    }
-    into = static_cast<int>(parsed);
-    return true;
-  };
-
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      std::exit(0);
-    }
-    if (arg.rfind("--", 0) != 0 || arg == "--") {
-      if (arg != "--") {
-        out.positionals.push_back(arg);
-      }
-      continue;
-    }
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
-    }
-    auto need_value = [&]() {
-      if (has_value) {
-        return true;
-      }
-      if (i + 1 >= args.size()) {
-        return bad(name + " expects a value");
-      }
-      value = args[++i];
-      return true;
-    };
-    if (name == "--ledger") {
-      if (!need_value()) return false;
-      out.ledger_dir = value;
-    } else if (name == "--check" && subcommand == "diff") {
-      out.check = true;
-    } else if (name == "--timings" && subcommand == "diff") {
-      out.timings = true;
-    } else if (name == "--format" && subcommand == "diff") {
-      if (!need_value()) return false;
-      if (value != "text" && value != "json") {
-        return bad("unknown format '" + value + "' (expected text, json)");
-      }
-      out.format = value;
-    } else if (name == "--max-new" && subcommand == "diff") {
-      if (!need_value()) return false;
-      if (!parse_int(name, value, out.thresholds.max_new_findings)) return false;
-    } else if (name == "--stage-ratio" && subcommand == "diff") {
-      if (!need_value()) return false;
-      if (!parse_double(name, value, out.thresholds.stage_ratio)) return false;
-    } else if (name == "--stage-floor" && subcommand == "diff") {
-      if (!need_value()) return false;
-      if (!parse_double(name, value, out.thresholds.stage_floor_seconds)) return false;
-    } else if (name == "--prune-drop" && subcommand == "diff") {
-      if (!need_value()) return false;
-      if (!parse_double(name, value, out.thresholds.prune_rate_drop)) return false;
-    } else if (name == "--limit" && subcommand == "history") {
-      if (!need_value()) return false;
-      if (!parse_int(name, value, out.limit)) return false;
-    } else if (name == "--compact" && subcommand == "history") {
-      if (!need_value()) return false;
-      if (!parse_int(name, value, out.compact)) return false;
-    } else if (name == "--html" && subcommand == "report") {
-      if (!need_value()) return false;
-      out.html_path = value;
-    } else {
-      return bad("unknown option " + arg);
-    }
-  }
-  return true;
+// The --ledger row every ledger subcommand shares.
+vc::FlagSpec LedgerFlag(std::string& dir) {
+  return {"--ledger", "DIR", "run ledger directory (default .vc-ledger)", vc::StoreString(dir)};
 }
 
 int RunDiffCommand(const std::vector<std::string>& args) {
   using namespace vc;
-  LedgerArgs parsed;
-  if (!ParseLedgerArgs("diff", args, parsed)) {
-    return 2;
+  std::string ledger_dir = ".vc-ledger";
+  bool check = false;
+  bool timings = false;
+  std::string format = "text";
+  RegressionThresholds thresholds;
+  const FlagTable flags = {
+      "valuecheck diff",
+      "usage: valuecheck diff [--ledger DIR] [runA runB] [options]\n"
+      "\n"
+      "Compares run A with run B (default: prev latest). Run selectors:\n"
+      "latest, prev, rNNNN, N (1-based), -N (from newest).\n\n",
+      {
+          LedgerFlag(ledger_dir),
+          {"--check", nullptr, "exit 1 on new findings or metric regressions", SetBool(check)},
+          {"--timings", nullptr, "include (nondeterministic) stage-timing deltas",
+           SetBool(timings)},
+          {"--format", "FMT", "text (default) or json",
+           [&format](const std::string& v) {
+             if (v != "text" && v != "json") {
+               return "unknown format '" + v + "' (expected text, json)";
+             }
+             format = v;
+             return std::string();
+           }},
+          {"--max-new", "N", "allowed new findings before --check fails (default 0)",
+           StoreInt(thresholds.max_new_findings, 0)},
+          {"--stage-ratio", "X", "stage-seconds regression ratio (default 1.5)",
+           StoreDouble(thresholds.stage_ratio)},
+          {"--stage-floor", "SEC", "ignore stage growth below this many seconds (default 0.05)",
+           StoreDouble(thresholds.stage_floor_seconds)},
+          {"--prune-drop", "X", "allowed absolute prune-rate drop (default 0.10)",
+           StoreDouble(thresholds.prune_rate_drop)},
+      }};
+  std::vector<std::string> selectors;
+  if (std::optional<int> done = ParseFlags(flags, args, &selectors)) {
+    return *done;
   }
-  if (parsed.positionals.size() != 0 && parsed.positionals.size() != 2) {
+  if (selectors.size() != 0 && selectors.size() != 2) {
     std::fprintf(stderr, "valuecheck diff: expected zero or two run selectors, got %zu\n",
-                 parsed.positionals.size());
+                 selectors.size());
     return 2;
   }
-  std::string sel_a = parsed.positionals.empty() ? "prev" : parsed.positionals[0];
-  std::string sel_b = parsed.positionals.empty() ? "latest" : parsed.positionals[1];
+  std::string sel_a = selectors.empty() ? "prev" : selectors[0];
+  std::string sel_b = selectors.empty() ? "latest" : selectors[1];
 
-  RunLedger ledger(parsed.ledger_dir);
+  RunLedger ledger(ledger_dir);
   std::string error;
   std::optional<RunRecord> run_a = ledger.Find(sel_a, &error);
   if (!run_a.has_value()) {
@@ -1387,13 +1052,13 @@ int RunDiffCommand(const std::vector<std::string>& args) {
     return 2;
   }
 
-  RunDiff diff = ComputeRunDiff(*run_a, *run_b, parsed.thresholds);
-  if (parsed.format == "json") {
+  RunDiff diff = ComputeRunDiff(*run_a, *run_b, thresholds);
+  if (format == "json") {
     std::printf("%s\n", DiffToJson(diff).c_str());
   } else {
-    std::fputs(RenderDiffText(diff, parsed.timings).c_str(), stdout);
+    std::fputs(RenderDiffText(diff, timings).c_str(), stdout);
   }
-  if (parsed.check) {
+  if (check) {
     if (diff.HasRegressions()) {
       std::printf("check: FAILED (%zu regression(s))\n", diff.regressions.size());
       return 1;
@@ -1405,24 +1070,30 @@ int RunDiffCommand(const std::vector<std::string>& args) {
 
 int RunHistoryCommand(const std::vector<std::string>& args) {
   using namespace vc;
-  LedgerArgs parsed;
-  if (!ParseLedgerArgs("history", args, parsed)) {
-    return 2;
+  std::string ledger_dir = ".vc-ledger";
+  int limit = -1;
+  int compact = -1;
+  const FlagTable flags = {
+      "valuecheck history",
+      "usage: valuecheck history [--ledger DIR] [--limit N] [--compact N]\n\n",
+      {
+          LedgerFlag(ledger_dir),
+          {"--limit", "N", "show only the newest N runs", StoreInt(limit, 0)},
+          {"--compact", "N", "drop all but the newest N runs from the ledger first",
+           StoreInt(compact, 0)},
+      }};
+  if (std::optional<int> done = ParseFlags(flags, args, nullptr)) {
+    return *done;
   }
-  if (!parsed.positionals.empty()) {
-    std::fprintf(stderr, "valuecheck history: unexpected argument '%s'\n",
-                 parsed.positionals[0].c_str());
-    return 2;
-  }
-  RunLedger ledger(parsed.ledger_dir);
+  RunLedger ledger(ledger_dir);
   std::string error;
-  if (parsed.compact >= 0) {
-    int dropped = ledger.Compact(parsed.compact, &error);
+  if (compact >= 0) {
+    int dropped = ledger.Compact(compact, &error);
     if (dropped < 0) {
       std::fprintf(stderr, "valuecheck history: compact failed: %s\n", error.c_str());
       return 2;
     }
-    std::printf("compacted: dropped %d run(s), kept newest %d\n", dropped, parsed.compact);
+    std::printf("compacted: dropped %d run(s), kept newest %d\n", dropped, compact);
   }
   int skipped = 0;
   std::optional<std::vector<RunRecord>> runs = ledger.Load(&error, &skipped);
@@ -1440,8 +1111,8 @@ int RunHistoryCommand(const std::vector<std::string>& args) {
   TableWriter table({"run", "timestamp (UTC)", "label", "jobs", "findings", "analysis_s",
                      "options"});
   size_t first = 0;
-  if (parsed.limit >= 0 && runs->size() > static_cast<size_t>(parsed.limit)) {
-    first = runs->size() - static_cast<size_t>(parsed.limit);
+  if (limit >= 0 && runs->size() > static_cast<size_t>(limit)) {
+    first = runs->size() - static_cast<size_t>(limit);
   }
   for (size_t i = first; i < runs->size(); ++i) {
     const RunRecord& run = (*runs)[i];
@@ -1455,36 +1126,49 @@ int RunHistoryCommand(const std::vector<std::string>& args) {
 
 int RunReportCommand(const std::vector<std::string>& args) {
   using namespace vc;
-  LedgerArgs parsed;
-  if (!ParseLedgerArgs("report", args, parsed)) {
-    return 2;
+  std::string ledger_dir = ".vc-ledger";
+  std::string html_path;
+  const FlagTable flags = {
+      "valuecheck report",
+      "usage: valuecheck report [--ledger DIR] --html FILE\n\n",
+      {
+          LedgerFlag(ledger_dir),
+          {"--html", "FILE",
+           "write the self-contained HTML dashboard (findings, deltas,\n"
+           "trend sparklines) to FILE",
+           StoreString(html_path)},
+      }};
+  // Positionals are accepted and ignored, as they always were.
+  std::vector<std::string> ignored;
+  if (std::optional<int> done = ParseFlags(flags, args, &ignored)) {
+    return *done;
   }
-  if (parsed.html_path.empty()) {
+  if (html_path.empty()) {
     std::fprintf(stderr, "valuecheck report: --html FILE is required\n");
     return 2;
   }
-  RunLedger ledger(parsed.ledger_dir);
+  RunLedger ledger(ledger_dir);
   std::string error;
   std::optional<std::vector<RunRecord>> runs = ledger.Load(&error);
   if (!runs.has_value()) {
     std::fprintf(stderr, "valuecheck report: %s\n", error.c_str());
     return 2;
   }
-  if (!EnsureParentDir(parsed.html_path)) {
+  if (!EnsureOutputDir(html_path)) {
     return 2;
   }
-  std::ofstream out(parsed.html_path, std::ios::trunc | std::ios::binary);
+  std::ofstream out(html_path, std::ios::trunc | std::ios::binary);
   if (!out) {
-    std::fprintf(stderr, "valuecheck report: cannot write %s\n", parsed.html_path.c_str());
+    std::fprintf(stderr, "valuecheck report: cannot write %s\n", html_path.c_str());
     return 2;
   }
   out << RenderHtmlDashboard(*runs);
   out.flush();
   if (!out) {
-    std::fprintf(stderr, "valuecheck report: write to %s failed\n", parsed.html_path.c_str());
+    std::fprintf(stderr, "valuecheck report: write to %s failed\n", html_path.c_str());
     return 2;
   }
-  std::printf("wrote dashboard for %zu run(s) to %s\n", runs->size(), parsed.html_path.c_str());
+  std::printf("wrote dashboard for %zu run(s) to %s\n", runs->size(), html_path.c_str());
   return 0;
 }
 

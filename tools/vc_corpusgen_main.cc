@@ -19,40 +19,15 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "src/support/flags.h"
 #include "src/testing/corpusgen.h"
 #include "src/testing/history_gen.h"
 #include "src/vcs/history_io.h"
-
-namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: vc_corpusgen --profile NAME --scale SCALE --out DIR\n"
-      "                    [--files N] [--seed S] [--quiet]\n"
-      "       vc_corpusgen --history FILE [--commits N] [--modules M]\n"
-      "                    [--seed S] [--quiet]\n"
-      "\n"
-      "  --profile NAME  corpus shape: linux-like (many small files) or\n"
-      "                  mysql-like (few huge files)\n"
-      "  --scale SCALE   small (~10k LOC), medium (>100k LOC), large (>1M LOC)\n"
-      "  --out DIR       output directory (created if missing)\n"
-      "  --files N       override the profile's file count (shape per file\n"
-      "                  is unchanged; useful for quick smokes)\n"
-      "  --history FILE  write a synthesized commit history (.vchist) instead\n"
-      "                  of a source corpus; replay it with\n"
-      "                  `valuecheck analyze --history FILE [--incremental]`\n"
-      "  --commits N     history mode: number of commits (default 50)\n"
-      "  --modules M     history mode: initial module count (default 4)\n"
-      "  --seed S        corpus seed (default 1); same seed, same bytes\n"
-      "  --quiet         suppress the summary line\n");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string profile_name;
@@ -60,47 +35,44 @@ int main(int argc, char** argv) {
   std::string out_dir;
   std::string history_path;
   uint64_t seed = 1;
-  int files_override = -1;
+  int files_override = 0;
   int commits = 50;
   int modules = 4;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "vc_corpusgen: %s needs a value\n", flag);
-        PrintUsage(stderr);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--profile") {
-      profile_name = next("--profile");
-    } else if (arg == "--scale") {
-      scale = next("--scale");
-    } else if (arg == "--out") {
-      out_dir = next("--out");
-    } else if (arg == "--seed") {
-      seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (arg == "--files") {
-      files_override = std::atoi(next("--files"));
-    } else if (arg == "--history") {
-      history_path = next("--history");
-    } else if (arg == "--commits") {
-      commits = std::atoi(next("--commits"));
-    } else if (arg == "--modules") {
-      modules = std::atoi(next("--modules"));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "vc_corpusgen: unknown argument '%s'\n", arg.c_str());
-      PrintUsage(stderr);
-      return 2;
-    }
+  const vc::FlagTable flags = {
+      "vc_corpusgen",
+      "usage: vc_corpusgen --profile NAME --scale SCALE --out DIR\n"
+      "                    [--files N] [--seed S] [--quiet]\n"
+      "       vc_corpusgen --history FILE [--commits N] [--modules M]\n"
+      "                    [--seed S] [--quiet]\n\n",
+      {
+          {"--profile", "NAME",
+           "corpus shape: linux-like (many small files) or\n"
+           "mysql-like (few huge files)",
+           vc::StoreString(profile_name)},
+          {"--scale", "SCALE", "small (~10k LOC), medium (>100k LOC), large (>1M LOC)",
+           vc::StoreString(scale)},
+          {"--out", "DIR", "output directory (created if missing)", vc::StoreString(out_dir)},
+          {"--files", "N",
+           "override the profile's file count (shape per file\n"
+           "is unchanged; useful for quick smokes; 0 keeps it)",
+           vc::StoreInt(files_override, 0)},
+          {"--history", "FILE",
+           "write a synthesized commit history (.vchist) instead\n"
+           "of a source corpus; replay it with\n"
+           "`valuecheck analyze --history FILE [--incremental]`",
+           vc::StoreString(history_path)},
+          {"--commits", "N", "history mode: number of commits (default 50)",
+           vc::StoreInt(commits, 1)},
+          {"--modules", "M", "history mode: initial module count (default 4)",
+           vc::StoreInt(modules, 1)},
+          {"--seed", "S", "corpus seed (default 1); same seed, same bytes", vc::StoreU64(seed)},
+          {"--quiet", nullptr, "suppress the summary line", vc::SetBool(quiet)},
+      }};
+  if (std::optional<int> done =
+          vc::ParseFlags(flags, std::vector<std::string>(argv + 1, argv + argc), nullptr)) {
+    return *done;
   }
 
   if (!history_path.empty()) {
@@ -108,10 +80,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "vc_corpusgen: --history is a separate mode; drop "
                    "--profile/--scale/--out\n");
-      return 2;
-    }
-    if (commits < 1 || modules < 1) {
-      std::fprintf(stderr, "vc_corpusgen: --commits and --modules must be >= 1\n");
       return 2;
     }
     vc::testing::HistoryGenOptions options;
@@ -139,17 +107,12 @@ int main(int argc, char** argv) {
   }
 
   if (profile_name.empty() || scale.empty() || out_dir.empty()) {
-    std::fprintf(stderr, "vc_corpusgen: --profile, --scale and --out are required\n");
-    PrintUsage(stderr);
-    return 2;
+    return vc::FlagError(flags, "--profile, --scale and --out are required");
   }
 
   vc::testing::CorpusProfile profile;
   if (!vc::testing::MakeCorpusProfile(profile_name, scale, seed, &profile)) {
-    std::fprintf(stderr, "vc_corpusgen: unknown profile '%s' or scale '%s'\n",
-                 profile_name.c_str(), scale.c_str());
-    PrintUsage(stderr);
-    return 2;
+    return vc::FlagError(flags, "unknown profile '" + profile_name + "' or scale '" + scale + "'");
   }
   if (files_override > 0) {
     profile.files = files_override;

@@ -14,57 +14,17 @@
 //
 // Exit codes: 0 = all oracles passed, 1 = failures found, 2 = usage error.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/checkers/registry.h"
+#include "src/support/flags.h"
 #include "src/testing/fuzz.h"
 #include "src/testing/oracle.h"
-
-namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: vc_fuzz [options]\n"
-               "\n"
-               "  --seed N          campaign seed (default 1)\n"
-               "  --iters N         programs to generate and check (default 100)\n"
-               "  --time-budget S   stop after S seconds (default: none)\n"
-               "  --oracles LIST    comma-separated subset of:\n"
-               "                    clean_frontend jobs_determinism metrics_parity\n"
-               "                    json_round_trip metamorphic degraded_run\n"
-               "                    (default: all)\n"
-               "  --checkers LIST   comma-separated checker names the analyzed runs\n"
-               "                    enable (default: the registry's default set)\n"
-               "  --corpus-dir DIR  write minimized reproducers here (default:\n"
-               "                    fuzz-failures; pass '' to keep in memory)\n"
-               "  --max-files N     files per generated program (default 3)\n"
-               "  --no-minimize     keep failing programs unreduced\n"
-               "  --replay SEED     check exactly one program generated from SEED\n"
-               "  --inject-bug      simulate a detector merge bug in parallel runs\n"
-               "                    (the jobs_determinism oracle must catch it)\n"
-               "  --quiet           suppress progress output\n"
-               "  --help            this text\n");
-}
-
-bool ParseInt(const char* text, long long* value) {
-  char* end = nullptr;
-  *value = std::strtoll(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-bool ParseU64(const char* text, uint64_t* value) {
-  char* end = nullptr;
-  *value = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   vc::testing::FuzzOptions options;
@@ -73,107 +33,61 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool replay = false;
   uint64_t replay_seed = 0;
+  std::vector<std::string> oracle_names;
+  auto is_oracle = [](const std::string& name) {
+    return vc::testing::OracleKindFromName(name).has_value();
+  };
+  auto is_checker = [](const std::string& name) {
+    return vc::CheckerRegistry::Global().Find(name) != nullptr;
+  };
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "vc_fuzz: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      return 0;
-    } else if (arg == "--seed") {
-      if (!ParseU64(next("--seed"), &options.seed)) {
-        std::fprintf(stderr, "vc_fuzz: bad --seed value\n");
-        return 2;
-      }
-    } else if (arg == "--iters") {
-      long long value = 0;
-      if (!ParseInt(next("--iters"), &value) || value < 0) {
-        std::fprintf(stderr, "vc_fuzz: bad --iters value\n");
-        return 2;
-      }
-      options.iterations = static_cast<int>(value);
-    } else if (arg == "--time-budget") {
-      options.time_budget_seconds = std::atof(next("--time-budget"));
-    } else if (arg == "--oracles") {
-      std::string list = next("--oracles");
-      size_t start = 0;
-      while (start <= list.size()) {
-        size_t comma = list.find(',', start);
-        std::string name = list.substr(
-            start, comma == std::string::npos ? std::string::npos : comma - start);
-        if (!name.empty()) {
-          std::optional<vc::testing::OracleKind> kind =
-              vc::testing::OracleKindFromName(name);
-          if (!kind.has_value()) {
-            std::fprintf(stderr, "vc_fuzz: unknown oracle '%s'\n", name.c_str());
-            return 2;
-          }
-          options.oracle.enabled.insert(*kind);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        start = comma + 1;
-      }
-      if (options.oracle.enabled.empty()) {
-        std::fprintf(stderr, "vc_fuzz: --oracles selected nothing\n");
-        return 2;
-      }
-    } else if (arg == "--checkers") {
-      std::string list = next("--checkers");
-      size_t start = 0;
-      while (start <= list.size()) {
-        size_t comma = list.find(',', start);
-        std::string name = list.substr(
-            start, comma == std::string::npos ? std::string::npos : comma - start);
-        if (!name.empty()) {
-          if (vc::CheckerRegistry::Global().Find(name) == nullptr) {
-            std::fprintf(stderr, "vc_fuzz: unknown checker '%s'\n", name.c_str());
-            return 2;
-          }
-          options.oracle.checkers.push_back(name);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        start = comma + 1;
-      }
-      if (options.oracle.checkers.empty()) {
-        std::fprintf(stderr, "vc_fuzz: --checkers selected nothing\n");
-        return 2;
-      }
-    } else if (arg == "--corpus-dir") {
-      options.corpus_dir = next("--corpus-dir");
-    } else if (arg == "--max-files") {
-      long long value = 0;
-      if (!ParseInt(next("--max-files"), &value) || value < 1) {
-        std::fprintf(stderr, "vc_fuzz: bad --max-files value\n");
-        return 2;
-      }
-      options.gen.max_files = static_cast<int>(value);
-    } else if (arg == "--no-minimize") {
-      options.minimize = false;
-    } else if (arg == "--replay") {
-      replay = true;
-      if (!ParseU64(next("--replay"), &replay_seed)) {
-        std::fprintf(stderr, "vc_fuzz: bad --replay value\n");
-        return 2;
-      }
-    } else if (arg == "--inject-bug") {
-      options.oracle.parallel_fault = vc::testing::DropOverwrittenFindingsFault();
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "vc_fuzz: unknown flag '%s'\n", arg.c_str());
-      PrintUsage(stderr);
-      return 2;
-    }
+  const vc::FlagTable flags = {
+      "vc_fuzz",
+      "usage: vc_fuzz [options]\n\n",
+      {
+          {"--seed", "N", "campaign seed (default 1)", vc::StoreU64(options.seed)},
+          {"--iters", "N", "programs to generate and check (default 100)",
+           vc::StoreInt(options.iterations, 0)},
+          {"--time-budget", "S", "stop after S seconds (default: none)",
+           vc::StoreDouble(options.time_budget_seconds)},
+          {"--oracles", "LIST",
+           "comma-separated subset of:\n"
+           "clean_frontend jobs_determinism metrics_parity\n"
+           "json_round_trip metamorphic degraded_run\n"
+           "(default: all)",
+           vc::StoreList(oracle_names, is_oracle, "oracle")},
+          {"--checkers", "LIST",
+           "comma-separated checker names the analyzed runs\n"
+           "enable (default: the registry's default set)",
+           vc::StoreList(options.oracle.checkers, is_checker, "checker")},
+          {"--corpus-dir", "DIR",
+           "write minimized reproducers here (default:\n"
+           "fuzz-failures; pass '' to keep in memory)",
+           vc::StoreString(options.corpus_dir)},
+          {"--max-files", "N", "files per generated program (default 3)",
+           vc::StoreInt(options.gen.max_files, 1)},
+          {"--no-minimize", nullptr, "keep failing programs unreduced",
+           vc::SetBool(options.minimize, false)},
+          {"--replay", "SEED", "check exactly one program generated from SEED",
+           [&](const std::string& v) {
+             replay = true;
+             return vc::StoreU64(replay_seed)(v);
+           }},
+          {"--inject-bug", nullptr,
+           "simulate a detector merge bug in parallel runs\n"
+           "(the jobs_determinism oracle must catch it)",
+           [&options](const std::string&) {
+             options.oracle.parallel_fault = vc::testing::DropOverwrittenFindingsFault();
+             return std::string();
+           }},
+          {"--quiet", nullptr, "suppress progress output", vc::SetBool(quiet)},
+      }};
+  if (std::optional<int> done =
+          vc::ParseFlags(flags, std::vector<std::string>(argv + 1, argv + argc), nullptr)) {
+    return *done;
+  }
+  for (const std::string& name : oracle_names) {
+    options.oracle.enabled.insert(*vc::testing::OracleKindFromName(name));
   }
   if (quiet) {
     options.progress = nullptr;

@@ -17,69 +17,19 @@
 // 2 usage error.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <chrono>
-#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "src/server/loadgen.h"
 #include "src/support/fault.h"
+#include "src/support/file_io.h"
+#include "src/support/flags.h"
 #include "src/support/json_writer.h"
 #include "src/support/run_ledger.h"
 
 namespace {
-
-void PrintUsage(FILE* out) {
-  std::fputs(
-      "usage: vc_loadgen (--socket PATH | --port N) [options]\n"
-      "\n"
-      "  --socket=PATH        daemon Unix-domain socket\n"
-      "  --port=N             daemon TCP loopback port\n"
-      "  --clients=N          concurrent closed-loop clients (default 4)\n"
-      "  --warehouses=N       projects to spread load over (default 2)\n"
-      "  --transactions=N     transactions per client (default 25)\n"
-      "  --seed=N             warehouse/mix/jitter seed (default 1)\n"
-      "  --jobs=N             jobs forwarded in each request (default 1)\n"
-      "  --deadline-ms=X      per-request deadline forwarded to the server\n"
-      "  --fault-inject=S:R   SEED:RATE chaos forwarded in analyze requests\n"
-      "  --edit-rate=X        probability an analyze sends an edited snapshot\n"
-      "                       (default 0.5)\n"
-      "  --kill-rate=X        probability of killing the connection right\n"
-      "                       after sending (default 0)\n"
-      "  --max-retries=N      retry budget per transaction (default 6)\n"
-      "  --timeout=SEC        per-response wait (default 60)\n"
-      "  --files=N            generated files per warehouse (default 3)\n"
-      "  --out=FILE           JSON report path (default result/BENCH_serve.json;\n"
-      "                       empty string disables)\n"
-      "  --ledger=DIR         append a serve record to the run ledger\n"
-      "  --label=NAME         ledger record label (default: loadgen)\n",
-      out);
-}
-
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-bool EnsureParentDir(const std::string& path) {
-  std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (parent.empty()) {
-    return true;
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  if (ec) {
-    std::fprintf(stderr, "vc_loadgen: cannot create directory %s: %s\n",
-                 parent.string().c_str(), ec.message().c_str());
-    return false;
-  }
-  return true;
-}
 
 struct Args {
   vc::LoadGenOptions options;
@@ -88,124 +38,55 @@ struct Args {
   std::string label = "loadgen";
 };
 
-bool ParseArgs(const std::vector<std::string>& args, Args& out) {
-  auto bad = [&](const std::string& message) {
-    std::fprintf(stderr, "vc_loadgen: %s\n", message.c_str());
-    PrintUsage(stderr);
-    return false;
-  };
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(stdout);
-      std::exit(0);
-    }
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-      has_value = true;
-    }
-    auto need_value = [&]() {
-      if (has_value) {
-        return true;
-      }
-      if (i + 1 >= args.size()) {
-        return bad(name + " expects a value");
-      }
-      value = args[++i];
-      return true;
-    };
-    auto parse_int = [&](int& into, int floor) {
-      char* end = nullptr;
-      long parsed = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || parsed < floor) {
-        return bad(name + " expects an integer >= " + std::to_string(floor) +
-                   ", got '" + value + "'");
-      }
-      into = static_cast<int>(parsed);
-      return true;
-    };
-    auto parse_double = [&](double& into) {
-      char* end = nullptr;
-      double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || parsed < 0) {
-        return bad(name + " expects a non-negative number, got '" + value + "'");
-      }
-      into = parsed;
-      return true;
-    };
-    if (name == "--socket") {
-      if (!need_value()) return false;
-      out.options.socket_path = value;
-    } else if (name == "--port") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.tcp_port, 1)) return false;
-    } else if (name == "--clients") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.clients, 1)) return false;
-    } else if (name == "--warehouses") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.warehouses, 1)) return false;
-    } else if (name == "--transactions") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.transactions_per_client, 1)) return false;
-    } else if (name == "--seed") {
-      if (!need_value()) return false;
-      char* end = nullptr;
-      unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        return bad("--seed expects an unsigned integer, got '" + value + "'");
-      }
-      out.options.seed = parsed;
-    } else if (name == "--jobs") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.jobs, 0)) return false;
-    } else if (name == "--deadline-ms") {
-      if (!need_value()) return false;
-      if (!parse_double(out.options.deadline_ms)) return false;
-    } else if (name == "--fault-inject") {
-      if (!need_value()) return false;
-      std::string error;
-      if (!vc::FaultInjector::Parse(value, &error).has_value()) {
-        return bad("--fault-inject: " + error);
-      }
-      out.options.fault_spec = value;
-    } else if (name == "--edit-rate") {
-      if (!need_value()) return false;
-      if (!parse_double(out.options.edit_rate)) return false;
-    } else if (name == "--kill-rate") {
-      if (!need_value()) return false;
-      if (!parse_double(out.options.kill_rate)) return false;
-    } else if (name == "--max-retries") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.max_retries, 0)) return false;
-    } else if (name == "--timeout") {
-      if (!need_value()) return false;
-      if (!parse_double(out.options.request_timeout_seconds)) return false;
-    } else if (name == "--files") {
-      if (!need_value()) return false;
-      if (!parse_int(out.options.files_per_warehouse, 1)) return false;
-    } else if (name == "--out") {
-      if (!need_value()) return false;
-      out.out_path = value;
-    } else if (name == "--ledger") {
-      if (!need_value()) return false;
-      out.ledger_dir = value;
-    } else if (name == "--label") {
-      if (!need_value()) return false;
-      out.label = value;
-    } else {
-      return bad("unknown option " + arg);
-    }
-  }
-  if (out.options.socket_path.empty() && out.options.tcp_port == 0) {
-    return bad("a target is required: --socket PATH or --port N");
-  }
-  return true;
+vc::FlagTable LoadGenFlags(Args& out) {
+  vc::LoadGenOptions& o = out.options;
+  return {"vc_loadgen",
+          "usage: vc_loadgen (--socket PATH | --port N) [options]\n\n",
+          {
+              {"--socket", "PATH", "daemon Unix-domain socket", vc::StoreString(o.socket_path)},
+              {"--port", "N", "daemon TCP loopback port", vc::StoreInt(o.tcp_port, 1)},
+              {"--clients", "N", "concurrent closed-loop clients (default 4)",
+               vc::StoreInt(o.clients, 1)},
+              {"--warehouses", "N", "projects to spread load over (default 2)",
+               vc::StoreInt(o.warehouses, 1)},
+              {"--transactions", "N", "transactions per client (default 25)",
+               vc::StoreInt(o.transactions_per_client, 1)},
+              {"--seed", "N", "warehouse/mix/jitter seed (default 1)", vc::StoreU64(o.seed)},
+              {"--jobs", "N", "jobs forwarded in each request (default 1)",
+               vc::StoreInt(o.jobs, 0)},
+              {"--deadline-ms", "X", "per-request deadline forwarded to the server",
+               vc::StoreDouble(o.deadline_ms)},
+              {"--fault-inject", "S:R", "SEED:RATE chaos forwarded in analyze requests",
+               [&o](const std::string& v) {
+                 std::string error;
+                 if (vc::FaultInjector::Parse(v, &error).has_value()) {
+                   o.fault_spec = v;
+                 }
+                 return error;
+               }},
+              {"--edit-rate", "X",
+               "probability an analyze sends an edited snapshot\n"
+               "(default 0.5)",
+               vc::StoreDouble(o.edit_rate)},
+              {"--kill-rate", "X",
+               "probability of killing the connection right\n"
+               "after sending (default 0)",
+               vc::StoreDouble(o.kill_rate)},
+              {"--max-retries", "N", "retry budget per transaction (default 6)",
+               vc::StoreInt(o.max_retries, 0)},
+              {"--timeout", "SEC", "per-response wait (default 60)",
+               vc::StoreDouble(o.request_timeout_seconds)},
+              {"--files", "N", "generated files per warehouse (default 3)",
+               vc::StoreInt(o.files_per_warehouse, 1)},
+              {"--out", "FILE",
+               "JSON report path (default result/BENCH_serve.json;\n"
+               "empty string disables)",
+               vc::StoreString(out.out_path)},
+              {"--ledger", "DIR", "append a serve record to the run ledger",
+               vc::StoreString(out.ledger_dir)},
+              {"--label", "NAME", "ledger record label (default: loadgen)",
+               vc::StoreString(out.label)},
+          }};
 }
 
 // The BENCH_serve.json document: run metadata + the report body.
@@ -239,12 +120,17 @@ std::string BenchJson(const Args& args, const vc::LoadGenReport& report,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(std::vector<std::string>(argv + 1, argv + argc), args)) {
-    return 2;
+  const vc::FlagTable flags = LoadGenFlags(args);
+  if (std::optional<int> done =
+          vc::ParseFlags(flags, std::vector<std::string>(argv + 1, argv + argc), nullptr)) {
+    return *done;
+  }
+  if (args.options.socket_path.empty() && args.options.tcp_port == 0) {
+    return vc::FlagError(flags, "a target is required: --socket PATH or --port N");
   }
 
   vc::LoadGenReport report = vc::RunLoadGen(args.options);
-  int64_t timestamp_ms = NowMs();
+  int64_t timestamp_ms = vc::NowMs();
 
   std::printf(
       "vc_loadgen: %llu transaction(s) in %.2fs (%.1f tx/s) — %llu ok, "
@@ -267,7 +153,9 @@ int main(int argc, char** argv) {
               report.Balanced() ? "balanced" : "IMBALANCED");
 
   if (!args.out_path.empty()) {
-    if (!EnsureParentDir(args.out_path)) {
+    std::string error;
+    if (!vc::EnsureParentDir(args.out_path, &error)) {
+      std::fprintf(stderr, "vc_loadgen: %s\n", error.c_str());
       return 2;
     }
     std::ofstream out(args.out_path, std::ios::trunc | std::ios::binary);

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "src/support/file_io.h"
+#include "src/support/flags.h"
 #include "src/support/json_reader.h"
 #include "src/support/pipeline_stages.h"
 
@@ -500,27 +501,27 @@ int LintFolded(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* kUsage =
-      "usage: vc_obs_lint <events|prom|folded|perf> FILE [--require-cache] [--require-serve]\n";
-  if (argc < 3) {
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  const std::string mode = argv[1];
-  const std::string path = argv[2];
   bool require_cache = false;
   bool require_serve = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--require-cache") {
-      require_cache = true;
-    } else if (flag == "--require-serve") {
-      require_serve = true;
-    } else {
-      std::fprintf(stderr, "%s", kUsage);
-      return 2;
-    }
+  const vc::FlagTable flags = {
+      "vc_obs_lint",
+      "usage: vc_obs_lint <events|prom|folded|perf> FILE [options]\n\n",
+      {
+          {"--require-cache", nullptr, "prom: fail when the vc_cache_* family is absent",
+           vc::SetBool(require_cache)},
+          {"--require-serve", nullptr, "prom: fail when the vc_serve_* family is absent",
+           vc::SetBool(require_serve)},
+      }};
+  std::vector<std::string> positionals;
+  if (std::optional<int> done = vc::ParseFlags(
+          flags, std::vector<std::string>(argv + 1, argv + argc), &positionals)) {
+    return *done;
   }
+  if (positionals.size() != 2) {
+    return vc::FlagError(flags, "expected a mode and a FILE");
+  }
+  const std::string& mode = positionals[0];
+  const std::string& path = positionals[1];
   if ((require_cache || require_serve) && mode != "prom") {
     std::fprintf(stderr, "vc_obs_lint: --require-cache/--require-serve only apply to prom mode\n");
     return 2;
