@@ -10,6 +10,23 @@ CheckerContext::CheckerContext(const Project& project, FileId file, const IrFunc
       func_(func),
       meter_(meter) {}
 
+UnusedDefCandidate CheckerContext::SlotCandidate(SlotId slot, SourceLoc loc,
+                                                CandidateKind kind) const {
+  const Slot& s = func_.slots[slot];
+  UnusedDefCandidate cand;
+  cand.function = func_.name;
+  cand.slot_name = s.name;
+  cand.file = path_;
+  cand.def_loc = loc;
+  cand.ir_func = &func_;
+  cand.slot = slot;
+  cand.var = s.var;
+  cand.is_synthetic = s.is_synthetic;
+  cand.is_field_slot = s.IsFieldSlot();
+  cand.kind = kind;
+  return cand;
+}
+
 const LivenessResult& CheckerContext::liveness() {
   if (liveness_ == nullptr) {
     liveness_ = std::make_unique<LivenessResult>(ComputeLiveness(func_, meter_));

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "src/core/project.h"
+#include "src/core/unused_def.h"
 #include "src/dataflow/define_sets.h"
 #include "src/dataflow/liveness.h"
 #include "src/pointer/andersen.h"
@@ -42,6 +43,11 @@ class CheckerContext {
 
   // Shorthand for liveness().address_taken (forces the liveness pass).
   const SlotSet& address_taken() { return liveness().address_taken; }
+
+  // The one candidate builder: a finding on `slot` defined at `loc`, with
+  // the function, file and slot fields filled in. Checkers add the rest.
+  UnusedDefCandidate SlotCandidate(SlotId slot, SourceLoc loc,
+                                   CandidateKind kind = CandidateKind::kPlainUnused) const;
 
   // True once some checker has forced the points-to pass; lets the driver
   // attribute points-to memory without computing the analysis just to

@@ -39,19 +39,10 @@ std::vector<UnusedDefCandidate> DeadGlobalStoreChecker::Check(CheckerContext& ct
           }
           auto it = pending.find(inst.slot);
           if (it != pending.end() && !(it->second->loc == inst.loc)) {
-            const Instruction* dead = it->second;
-            const Slot& slot = func.slots[inst.slot];
-            UnusedDefCandidate cand;
-            cand.function = func.name;
-            cand.slot_name = slot.name;
-            cand.file = ctx.path();
-            cand.def_loc = dead->loc;
-            cand.ir_func = &func;
-            cand.slot = inst.slot;
-            cand.var = slot.var;
+            UnusedDefCandidate cand = ctx.SlotCandidate(inst.slot, it->second->loc,
+                                                        CandidateKind::kDeadGlobalStore);
             cand.overwritten = true;
             cand.overwriter_locs.push_back(inst.loc);
-            cand.kind = CandidateKind::kDeadGlobalStore;
             candidates.push_back(std::move(cand));
           }
           pending[inst.slot] = &inst;

@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "src/dataflow/solver.h"
+
 namespace vc {
 
 namespace {
@@ -13,16 +15,20 @@ namespace {
 // (written, not yet read) on every path reaching this point.
 using PendingMap = std::map<SlotId, SourceLoc>;
 
-// in = intersection of the pending maps (same slot, same store).
-void IntersectInto(PendingMap& into, const PendingMap& other) {
+// into = intersection of the pending maps (same slot, same store). Returns
+// true if `into` changed.
+bool IntersectInto(PendingMap& into, const PendingMap& other) {
+  bool changed = false;
   for (auto it = into.begin(); it != into.end();) {
     auto found = other.find(it->first);
     if (found == other.end() || !(found->second == it->second)) {
       it = into.erase(it);
+      changed = true;
     } else {
       ++it;
     }
   }
+  return changed;
 }
 
 }  // namespace
@@ -40,10 +46,7 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
            !slot.IsFieldSlot() && address_taken.Contains(id);
   };
 
-  // One forward transfer of `inst` over `pending`; when `report` is non-null,
-  // records (killed store, overwriter) pairs.
-  auto transfer = [&](const Instruction& inst, PendingMap& pending,
-                      std::vector<std::pair<SourceLoc, SourceLoc>>* report) {
+  auto transfer = [&](const Instruction& inst, PendingMap& pending) {
     switch (inst.op) {
       case Opcode::kLoad:
         pending.erase(inst.slot);
@@ -64,121 +67,53 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
           }
         }
         break;
-      case Opcode::kStore: {
-        if (!eligible(inst.slot)) {
+      case Opcode::kStore:
+        if (eligible(inst.slot)) {
+          pending[inst.slot] = inst.loc;
+        } else {
           pending.erase(inst.slot);
-          break;
         }
-        auto it = pending.find(inst.slot);
-        if (it != pending.end() && report != nullptr && !(it->second == inst.loc)) {
-          report->push_back({it->second, inst.loc});
-        }
-        pending[inst.slot] = inst.loc;
         break;
-      }
       default:
         break;
     }
   };
 
-  // Fix point: "no out-state yet" is TOP. A block's in-state is the
-  // intersection over the preds that have materialized an out-state; as more
-  // preds materialize (or their outs shrink), that intersection only
-  // shrinks, the transfer is monotone, so every out-state descends after its
-  // first assignment and the iteration converges.
-  //
-  // The one trap is a block whose preds exist but have ALL still-TOP outs:
-  // seeding it from the empty map would be BOTTOM, not TOP — its out-state
-  // could later have to grow, and a grown state flowing around a loop can
-  // oscillate against the intersection forever (a 1-core sweep over a
-  // generated corpus found exactly that: recursion + address-taken local +
-  // an if inside a loop never converged). Such blocks are skipped until a
-  // pred materializes; blocks with no preds at all (the entry, or dead
-  // code) correctly start from "nothing pending".
+  // Forward must fixpoint. The solver keeps a block whose preds are all
+  // still TOP at TOP: seeding it with the empty map (BOTTOM) once made a
+  // loop with recursion, an address-taken local and an if oscillate forever.
   const size_t num_blocks = func.blocks.size();
+  std::vector<PendingMap> in(num_blocks);
   std::vector<PendingMap> out(num_blocks);
-  std::vector<bool> has_out(num_blocks, false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& block : func.blocks) {
-      if (ctx.meter() != nullptr) {
-        ctx.meter()->Charge(block->insts.size() + 1);
-      }
-      PendingMap in;
-      bool first = true;
-      for (BlockId pred : block->preds) {
-        if (!has_out[pred]) {
-          continue;
-        }
-        if (first) {
-          in = out[pred];
-          first = false;
-        } else {
-          IntersectInto(in, out[pred]);
-        }
-      }
-      if (first && !block->preds.empty()) {
-        continue;  // every pred is still TOP: stay TOP, revisit next pass
-      }
-      for (const Instruction& inst : block->insts) {
-        transfer(inst, in, nullptr);
-      }
-      if (!has_out[block->id] || !(out[block->id] == in)) {
-        out[block->id] = std::move(in);
-        has_out[block->id] = true;
-        changed = true;
-      }
-    }
-  }
+  SolveBlocks<Direction::kForward, Join::kMust>(func, in, out, IntersectInto, transfer,
+                                                ctx.meter());
 
-  // Final replay from the converged in-states to collect the kills once.
+  // Replay from the converged in-states to collect the kills once: a store
+  // to an eligible slot with a different store still pending kills it.
   std::set<std::pair<SourceLoc, SourceLoc>> seen;
   std::vector<std::pair<SlotId, std::pair<SourceLoc, SourceLoc>>> kills;
-  for (const auto& block : func.blocks) {
-    PendingMap in;
-    bool first = true;
-    for (BlockId pred : block->preds) {
-      if (!has_out[pred]) {
-        continue;
-      }
-      if (first) {
-        in = out[pred];
-        first = false;
-      } else {
-        IntersectInto(in, out[pred]);
-      }
-    }
-    std::vector<std::pair<SourceLoc, SourceLoc>> report;
-    for (const Instruction& inst : block->insts) {
-      SlotId slot = inst.slot;
-      size_t before = report.size();
-      transfer(inst, in, &report);
-      for (size_t k = before; k < report.size(); ++k) {
-        if (seen.insert(report[k]).second) {
-          kills.push_back({slot, report[k]});
+  Replay<Direction::kForward>(
+      func, [&](const BasicBlock& block) { return in[block.id]; }, transfer,
+      [&](const Instruction& inst, const PendingMap& pending) {
+        if (inst.op != Opcode::kStore || !eligible(inst.slot)) {
+          return;
         }
-      }
-    }
-  }
+        auto it = pending.find(inst.slot);
+        if (it != pending.end() && !(it->second == inst.loc) &&
+            seen.insert({it->second, inst.loc}).second) {
+          kills.push_back({inst.slot, {it->second, inst.loc}});
+        }
+      });
 
   std::sort(kills.begin(), kills.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
   std::vector<UnusedDefCandidate> candidates;
   for (const auto& [slot_id, pair] : kills) {
-    const Slot& slot = func.slots[slot_id];
-    UnusedDefCandidate cand;
-    cand.function = func.name;
-    cand.slot_name = slot.name;
-    cand.file = ctx.path();
-    cand.def_loc = pair.first;
-    cand.ir_func = &func;
-    cand.slot = slot_id;
-    cand.var = slot.var;
+    UnusedDefCandidate cand =
+        ctx.SlotCandidate(slot_id, pair.first, CandidateKind::kDoubleOverwrite);
     cand.overwritten = true;
     cand.overwriter_locs.push_back(pair.second);
-    cand.kind = CandidateKind::kDoubleOverwrite;
     candidates.push_back(std::move(cand));
   }
   return candidates;

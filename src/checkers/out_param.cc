@@ -3,6 +3,8 @@
 #include <map>
 #include <set>
 
+#include "src/dataflow/solver.h"
+
 namespace vc {
 
 std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) const {
@@ -36,14 +38,13 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
   // Backward replay from each block's live-out: at a direct call taking
   // &slot, the live set holds exactly the slots read on some path after the
   // call. Not live there means the callee's write is never consumed.
-  for (const auto& block : func.blocks) {
-    if (ctx.meter() != nullptr) {
-      ctx.meter()->Charge(block->insts.size() + 1);
-    }
-    SlotSet live = liveness.live_out[block->id];
-    for (size_t j = block->insts.size(); j-- > 0;) {
-      const Instruction& inst = block->insts[j];
-      if (inst.op == Opcode::kCall && inst.callee != nullptr) {
+  Replay<Direction::kBackward>(
+      func, [&](const BasicBlock& block) { return liveness.live_out[block.id]; },
+      [&func](const Instruction& inst, SlotSet& live) { ApplyLivenessTransfer(func, inst, live); },
+      [&](const Instruction& inst, const SlotSet& live) {
+        if (inst.op != Opcode::kCall || inst.callee == nullptr) {
+          return;
+        }
         std::set<SlotId> out_args;
         for (ValueId v : inst.operands) {
           auto it = addr_of.find(v);
@@ -55,24 +56,13 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
           if (!eligible(x) || live.Contains(x)) {
             continue;
           }
-          const Slot& slot = func.slots[x];
-          UnusedDefCandidate cand;
-          cand.function = func.name;
-          cand.slot_name = slot.name;
-          cand.file = ctx.path();
-          cand.def_loc = inst.loc;
-          cand.ir_func = &func;
-          cand.slot = x;
-          cand.var = slot.var;
+          UnusedDefCandidate cand = ctx.SlotCandidate(x, inst.loc, CandidateKind::kOutParamUnused);
           cand.origin_callee = inst.callee;
           cand.callee_name = inst.callee->name;
-          cand.kind = CandidateKind::kOutParamUnused;
           candidates.push_back(std::move(cand));
         }
-      }
-      ApplyLivenessTransfer(func, inst, live);
-    }
-  }
+      },
+      ctx.meter());
   return candidates;
 }
 

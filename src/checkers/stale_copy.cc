@@ -33,18 +33,10 @@ std::vector<UnusedDefCandidate> StaleCopyChecker::Check(CheckerContext& ctx) con
         case Opcode::kLoad: {
           auto it = copies.find(inst.slot);
           if (it != copies.end() && it->second.stale) {
-            const Slot& slot = func.slots[inst.slot];
-            UnusedDefCandidate cand;
-            cand.function = func.name;
-            cand.slot_name = slot.name;
-            cand.file = ctx.path();
-            cand.def_loc = it->second.copy_loc;
-            cand.ir_func = &func;
-            cand.slot = inst.slot;
-            cand.var = slot.var;
+            UnusedDefCandidate cand = ctx.SlotCandidate(inst.slot, it->second.copy_loc,
+                                                        CandidateKind::kStaleCopy);
             cand.overwritten = true;
             cand.overwriter_locs.push_back(it->second.mod_loc);
-            cand.kind = CandidateKind::kStaleCopy;
             candidates.push_back(std::move(cand));
             copies.erase(it);  // one report per copy
           }

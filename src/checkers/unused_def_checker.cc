@@ -5,13 +5,7 @@
 namespace vc {
 
 std::vector<UnusedDefCandidate> UnusedDefChecker::Check(CheckerContext& ctx) const {
-  // Liveness first, then define sets: the same meter charge order as the
-  // pre-framework DetectInFunction, so budget quarantines land on the same
-  // functions.
-  const LivenessResult& liveness = ctx.liveness();
-  const DefineSetResult& defines = ctx.defines();
-  return DetectInFunctionWith(ctx.project(), ctx.file(), ctx.func(), liveness, defines,
-                              ctx.meter());
+  return DetectInFunction(ctx);
 }
 
 }  // namespace vc

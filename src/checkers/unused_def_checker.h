@@ -1,5 +1,5 @@
 // The paper's unused-definition detector as the first registered checker.
-// A thin adapter over DetectInFunctionWith: the algorithm itself stays in
+// A thin adapter over DetectInFunction: the algorithm itself stays in
 // src/core/detector.cc, the context supplies the memoized liveness and
 // define-set fix points. Its fingerprint namespace is empty — the migration
 // gate requires byte-identical findings and fingerprints vs the

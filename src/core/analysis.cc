@@ -270,15 +270,6 @@ AnalysisReport Analysis::RunOnRepository(const Repository& repo) const {
   return RunOwned(run, BuildFromRepository(repo, &run), &repo);
 }
 
-AnalysisReport Analysis::RunOnRepositoryAt(const Repository& repo, CommitId commit) const {
-  PipelineRun run(options_.collect_metrics);
-  Project project = ParseStage(options_, &run, [&] {
-    return Project::FromRepositoryAt(repo, commit, options_.config, options_.jobs,
-                                     &options_.fault, &options_.budget);
-  });
-  return RunOwned(run, std::move(project), &repo);
-}
-
 AnalysisReport Analysis::RunOnSources(
     const std::vector<std::pair<std::string, std::string>>& files) const {
   PipelineRun run(options_.collect_metrics);

@@ -166,12 +166,6 @@ struct AnalysisReport {
   std::string ToCsv() const;
 };
 
-// Result of per-commit incremental analysis; defined in
-// src/core/incremental.h (it embeds a full AnalysisReport plus the engine's
-// cache/dirty-slice telemetry).
-struct IncrementalResult;
-class IncrementalEngine;
-
 class Analysis {
  public:
   Analysis() = default;
@@ -200,19 +194,8 @@ class Analysis {
   // Builds the project (parallel parse/lower under options().jobs and
   // options().config), then runs; the report owns the project.
   AnalysisReport RunOnRepository(const Repository& repo) const;
-  AnalysisReport RunOnRepositoryAt(const Repository& repo, CommitId commit) const;
   AnalysisReport RunOnSources(
       const std::vector<std::pair<std::string, std::string>>& files) const;
-
-  // Per-commit incremental analysis through a cached IncrementalEngine
-  // (src/core/incremental.h): re-parses only the files `commit` touched and
-  // re-runs checkers only on the commit's dirty function slice, carrying
-  // cached results for everything else. The returned report holds the
-  // COMPLETE finding set as of `commit` — byte-identical to a full run over
-  // the repository truncated at that commit. Sequential calls with ascending
-  // commits on the same repository reuse the engine's warm caches; any other
-  // pattern rebuilds the engine (correct, just slower).
-  IncrementalResult RunOnCommit(const Repository& repo, CommitId commit) const;
 
   // Project construction alone (no detection) with this analysis's config
   // and jobs, as the parse stage of `run` (null: a run of its own) — for
@@ -234,11 +217,6 @@ class Analysis {
   AnalysisReport RunOwned(PipelineRun& run, Project project, const Repository* repo) const;
 
   AnalysisOptions options_;
-  // RunOnCommit's warm engine (shared_ptr: IncrementalEngine is incomplete
-  // here). Keyed by source repository identity; reset when the repo changes
-  // or commits arrive out of ascending order.
-  mutable std::shared_ptr<IncrementalEngine> commit_engine_;
-  mutable const Repository* commit_engine_repo_ = nullptr;
 };
 
 }  // namespace vc

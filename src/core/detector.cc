@@ -2,8 +2,7 @@
 
 #include "src/checkers/driver.h"
 #include "src/checkers/registry.h"
-#include "src/dataflow/define_sets.h"
-#include "src/dataflow/liveness.h"
+#include "src/dataflow/solver.h"
 
 namespace vc {
 
@@ -23,78 +22,54 @@ const char* CandidateKindName(CandidateKind kind) {
 
 const char* PruneReasonName(PruneReason reason) { return kPruneNames[static_cast<int>(reason)]; }
 
-std::vector<UnusedDefCandidate> DetectInFunction(const Project& project, FileId file,
-                                                 const IrFunction& func, BudgetMeter* meter) {
-  LivenessResult liveness = ComputeLiveness(func, meter);
-  DefineSetResult defines = ComputeDefineSets(func, meter);
-  return DetectInFunctionWith(project, file, func, liveness, defines, meter);
-}
-
-std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, FileId file,
-                                                     const IrFunction& func,
-                                                     const LivenessResult& liveness,
-                                                     const DefineSetResult& defines,
-                                                     BudgetMeter* meter) {
+std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx) {
+  // Liveness first, then define sets: the charge order budget quarantines
+  // have always been computed with.
+  const LivenessResult& liveness = ctx.liveness();
+  const DefineSetResult& defines = ctx.defines();
+  const IrFunction& func = ctx.func();
   std::vector<UnusedDefCandidate> candidates;
-  const std::string& path = project.sources().Path(file);
 
-  auto make_candidate = [&](SlotId slot_id, SourceLoc loc) {
-    UnusedDefCandidate cand;
-    const Slot& slot = func.slots[slot_id];
-    cand.function = func.name;
-    cand.slot_name = slot.name;
-    cand.file = path;
-    cand.def_loc = loc;
-    cand.ir_func = &func;
-    cand.slot = slot_id;
-    cand.var = slot.var;
-    cand.is_synthetic = slot.is_synthetic;
-    cand.is_field_slot = slot.IsFieldSlot();
-    return cand;
+  // Replay both analyses in lockstep from each block's out-state, checking
+  // stores against the live set before applying their own transfer (the
+  // state "after" the store in program order).
+  struct Point {
+    SlotSet live;
+    DefineMap defs;
   };
-
-  // Replay every block from its out-state, checking stores against the live
-  // set before applying their own transfer (the state "after" the store in
-  // program order).
-  for (const auto& block : func.blocks) {
-    SlotSet live = liveness.live_out[block->id];
-    DefineMap defs = defines.out[block->id];
-    if (meter != nullptr) {
-      meter->Charge(block->insts.size() + 1);
-    }
-    for (size_t j = block->insts.size(); j-- > 0;) {
-      const Instruction& inst = block->insts[j];
-      if (inst.op == Opcode::kStore) {
+  Replay<Direction::kBackward>(
+      func,
+      [&](const BasicBlock& block) {
+        return Point{liveness.live_out[block.id], defines.out[block.id]};
+      },
+      [&func](const Instruction& inst, Point& point) {
+        ApplyLivenessTransfer(func, inst, point.live);
+        ApplyDefineTransfer(func, inst, point.defs);
+      },
+      [&](const Instruction& inst, const Point& point) {
+        if (inst.op != Opcode::kStore || point.live.Contains(inst.slot)) {
+          return;
+        }
         const Slot& slot = func.slots[inst.slot];
-        bool skip = false;
-        if (slot.var != nullptr && slot.var->is_global) {
-          skip = true;  // shared variables are out of scope (§3.1)
+        if ((slot.var != nullptr && slot.var->is_global) ||     // out of scope (§3.1)
+            (slot.is_synthetic && !inst.is_synthetic_store) ||  // lowering fallback temp
+            liveness.address_taken.Contains(inst.slot)) {       // may be read via a pointer
+          return;
         }
-        if (slot.is_synthetic && !inst.is_synthetic_store) {
-          skip = true;  // lowering fallback temps are not real definitions
+        UnusedDefCandidate cand = ctx.SlotCandidate(inst.slot, inst.loc);
+        cand.origin_callee = inst.origin_callee;
+        if (inst.origin_callee != nullptr) {
+          cand.callee_name = inst.origin_callee->name;
         }
-        if (liveness.address_taken.Contains(inst.slot)) {
-          skip = true;  // may be used through a pointer (checkAlias)
+        cand.is_increment = inst.is_increment;
+        cand.increment_amount = inst.increment_amount;
+        if (const std::vector<SourceLoc>* overwriters = point.defs.Find(inst.slot)) {
+          cand.overwritten = true;
+          cand.overwriter_locs = *overwriters;
         }
-        if (!skip && !live.Contains(inst.slot)) {
-          UnusedDefCandidate cand = make_candidate(inst.slot, inst.loc);
-          cand.origin_callee = inst.origin_callee;
-          if (inst.origin_callee != nullptr) {
-            cand.callee_name = inst.origin_callee->name;
-          }
-          cand.is_increment = inst.is_increment;
-          cand.increment_amount = inst.increment_amount;
-          if (const std::vector<SourceLoc>* overwriters = defs.Find(inst.slot)) {
-            cand.overwritten = true;
-            cand.overwriter_locs = *overwriters;
-          }
-          candidates.push_back(std::move(cand));
-        }
-      }
-      ApplyLivenessTransfer(func, inst, live);
-      ApplyDefineTransfer(func, inst, defs);
-    }
-  }
+        candidates.push_back(std::move(cand));
+      },
+      ctx.meter());
 
   // Unused parameters: not live at function entry means the argument value is
   // never read (an implicit unused definition at the call boundary).
@@ -105,8 +80,7 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
       if (entry_live.Contains(param_slot) || liveness.address_taken.Contains(param_slot)) {
         continue;
       }
-      const Slot& slot = func.slots[param_slot];
-      UnusedDefCandidate cand = make_candidate(param_slot, slot.var->loc);
+      UnusedDefCandidate cand = ctx.SlotCandidate(param_slot, func.slots[param_slot].var->loc);
       cand.is_param = true;
       if (const std::vector<SourceLoc>* overwriters = entry_defs.Find(param_slot)) {
         cand.overwritten = true;
@@ -119,22 +93,10 @@ std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, Fil
   return candidates;
 }
 
-std::vector<UnusedDefCandidate> DetectAll(const Project& project, int jobs,
-                                          const ResourceBudget* budget,
-                                          const FaultInjector* fault,
-                                          std::vector<QuarantinedUnit>* quarantined) {
-  // One code path for detection: the unused-def checker through the checker
-  // driver (src/checkers/driver.cc), which owns the parallel per-function
-  // loop, the deterministic slot-indexed merge, and the isolation boundary.
-  std::vector<const Checker*> checkers = {CheckerRegistry::Global().Find("unused-def")};
-  CheckerRunResult result = RunCheckers(project, checkers, ProjectTraits(), jobs, budget, fault,
-                                        /*isolate=*/quarantined != nullptr);
-  if (quarantined != nullptr) {
-    for (QuarantinedUnit& unit : result.quarantined) {
-      quarantined->push_back(std::move(unit));
-    }
-  }
-  return std::move(result.candidates);
+std::vector<UnusedDefCandidate> DetectAll(const Project& project) {
+  return RunCheckers(project, {CheckerRegistry::Global().Find("unused-def")}, ProjectTraits(),
+                     /*jobs=*/1, /*budget=*/nullptr, /*fault=*/nullptr, /*isolate=*/false)
+      .candidates;
 }
 
 }  // namespace vc

@@ -13,46 +13,22 @@
 
 #include <vector>
 
+#include "src/checkers/checker_context.h"
 #include "src/core/project.h"
 #include "src/core/unused_def.h"
-#include "src/dataflow/define_sets.h"
-#include "src/dataflow/liveness.h"
-#include "src/support/fault.h"
 
 namespace vc {
 
-// Detects candidates in one lowered function. `file` is the unit's file id
-// (for paths in the report). A non-null `meter` bounds the work (liveness /
-// define-set fix points + replay, one step per instruction) and may throw
-// BudgetExceededError.
-std::vector<UnusedDefCandidate> DetectInFunction(const Project& project, FileId file,
-                                                 const IrFunction& func,
-                                                 BudgetMeter* meter = nullptr);
+// Detects candidates in one lowered function: replays the context's
+// memoized liveness and define sets (so N checkers share one computation).
+// The context's meter, when set, bounds the work (fix points + replay, one
+// step per instruction) and may throw BudgetExceededError.
+std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx);
 
-// The replay half of DetectInFunction, over caller-supplied fix points. The
-// checker framework calls this with CheckerContext's memoized analyses so N
-// checkers share one liveness/define-set computation; DetectInFunction is
-// the compute-then-replay composition.
-std::vector<UnusedDefCandidate> DetectInFunctionWith(const Project& project, FileId file,
-                                                     const IrFunction& func,
-                                                     const LivenessResult& liveness,
-                                                     const DefineSetResult& defines,
-                                                     BudgetMeter* meter = nullptr);
-
-// Detects candidates across every function of every unit. Functions are
-// analyzed independently across `jobs` worker lanes (1 = serial, 0 = all
-// hardware threads); per-function results are merged in module/function
-// order, so the output is identical at any job count.
-//
-// Fault isolation: when `quarantined` is non-null, a function whose worker
-// throws, exceeds `budget`, or trips `fault` at the "detect.function" site is
-// dropped from the output and recorded there (in the same deterministic visit
-// order) instead of failing the whole run. With a null `quarantined`, worker
-// exceptions propagate as before.
-std::vector<UnusedDefCandidate> DetectAll(const Project& project, int jobs = 1,
-                                          const ResourceBudget* budget = nullptr,
-                                          const FaultInjector* fault = nullptr,
-                                          std::vector<QuarantinedUnit>* quarantined = nullptr);
+// Runs the unused-def checker alone over every function of every unit,
+// serially and without fault isolation, merged in module/function order (the
+// paper's plain detector, as the preliminary study uses it).
+std::vector<UnusedDefCandidate> DetectAll(const Project& project);
 
 }  // namespace vc
 

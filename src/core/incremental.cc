@@ -319,16 +319,4 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   return result;
 }
 
-IncrementalResult Analysis::RunOnCommit(const Repository& repo, CommitId commit) const {
-  // The facade keeps one warm engine for the common sequential-replay
-  // pattern; any other access pattern (different repository, commit behind
-  // the engine's head) rebuilds it — always correct, just colder.
-  if (commit_engine_ == nullptr || commit_engine_repo_ != &repo ||
-      commit < commit_engine_->next_commit() || repo.NumCommits() < commit_engine_->next_commit()) {
-    commit_engine_ = std::make_shared<IncrementalEngine>(options_);
-    commit_engine_repo_ = &repo;
-  }
-  return commit_engine_->AnalyzeCommit(repo, commit);
-}
-
 }  // namespace vc

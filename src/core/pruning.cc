@@ -1,6 +1,7 @@
 #include "src/core/pruning.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <tuple>
 #include <memory>
@@ -309,6 +310,30 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
         project, peer_universe != nullptr ? *peer_universe : candidates, options);
   }
 
+  // The patterns in pipeline order, each with its switch, verdict and
+  // counters; a candidate is charged to the first pattern that matches.
+  struct Pattern {
+    bool enabled;
+    PruneReason reason;
+    int* tested;
+    int* pruned;
+    std::function<bool(const UnusedDefCandidate&)> matches;
+  };
+  const Pattern patterns[] = {
+      {options.config_dependency, PruneReason::kConfigDependency, &stats.config_tested,
+       &stats.config_dependency,
+       [&](const UnusedDefCandidate& c) { return MatchesConfigDependency(project, c); }},
+      {options.cursor, PruneReason::kCursor, &stats.cursor_tested, &stats.cursor,
+       [&](const UnusedDefCandidate& c) { return cursor.Matches(c); }},
+      {options.unused_hints, PruneReason::kUnusedHint, &stats.hints_tested, &stats.unused_hints,
+       [&](const UnusedDefCandidate& c) { return MatchesUnusedHint(project, c); }},
+      {options.peer_definition, PruneReason::kPeerDefinition, &stats.peer_tested,
+       &stats.peer_definition,
+       [&](const UnusedDefCandidate& c) { return peers->Matches(c, project); }},
+      {options.stale_code, PruneReason::kStaleCode, &stats.stale_tested, &stats.stale_code,
+       [&](const UnusedDefCandidate& c) { return stale.Matches(c); }},
+  };
+
   TraceSpan span("prune.match", "pipeline");
   span.Arg("candidates", static_cast<int64_t>(candidates.size()));
   for (UnusedDefCandidate& cand : candidates) {
@@ -322,44 +347,15 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
       // identical whether it runs alone or alongside others.
       continue;
     }
-    if (options.config_dependency) {
-      ++stats.config_tested;
-      if (MatchesConfigDependency(project, cand)) {
-        cand.pruned_by = PruneReason::kConfigDependency;
-        ++stats.config_dependency;
+    for (const Pattern& pattern : patterns) {
+      if (!pattern.enabled) {
         continue;
       }
-    }
-    if (options.cursor) {
-      ++stats.cursor_tested;
-      if (cursor.Matches(cand)) {
-        cand.pruned_by = PruneReason::kCursor;
-        ++stats.cursor;
-        continue;
-      }
-    }
-    if (options.unused_hints) {
-      ++stats.hints_tested;
-      if (MatchesUnusedHint(project, cand)) {
-        cand.pruned_by = PruneReason::kUnusedHint;
-        ++stats.unused_hints;
-        continue;
-      }
-    }
-    if (options.peer_definition) {
-      ++stats.peer_tested;
-      if (peers->Matches(cand, project)) {
-        cand.pruned_by = PruneReason::kPeerDefinition;
-        ++stats.peer_definition;
-        continue;
-      }
-    }
-    if (options.stale_code) {
-      ++stats.stale_tested;
-      if (stale.Matches(cand)) {
-        cand.pruned_by = PruneReason::kStaleCode;
-        ++stats.stale_code;
-        continue;
+      ++*pattern.tested;
+      if (pattern.matches(cand)) {
+        cand.pruned_by = pattern.reason;
+        ++*pattern.pruned;
+        break;
       }
     }
   }
@@ -367,22 +363,11 @@ PruneStats RunPruning(const Project& project, std::vector<UnusedDefCandidate>& c
 
   if (MetricsEnabled()) {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    struct {
-      const char* name;
-      int tested;
-      int matched;
-    } patterns[] = {
-        {"config_dependency", stats.config_tested, stats.config_dependency},
-        {"cursor", stats.cursor_tested, stats.cursor},
-        {"unused_hints", stats.hints_tested, stats.unused_hints},
-        {"peer_definition", stats.peer_tested, stats.peer_definition},
-        {"stale_code", stats.stale_tested, stats.stale_code},
-    };
-    for (const auto& pattern : patterns) {
+    for (const LedgerPrunePattern& pattern : stats.Patterns()) {
       registry.GetCounter(std::string("prune.") + pattern.name + ".tested")
           .Add(static_cast<uint64_t>(pattern.tested));
       registry.GetCounter(std::string("prune.") + pattern.name + ".pruned")
-          .Add(static_cast<uint64_t>(pattern.matched));
+          .Add(static_cast<uint64_t>(pattern.pruned));
     }
   }
   return stats;

@@ -23,6 +23,7 @@
 
 #include "src/core/project.h"
 #include "src/core/unused_def.h"
+#include "src/support/run_ledger.h"
 
 namespace vc {
 
@@ -66,6 +67,18 @@ struct PruneStats {
 
   int TotalPruned() const {
     return config_dependency + cursor + unused_hints + peer_definition + stale_code;
+  }
+
+  // One row per pattern, in pipeline order. The snake_case name is what
+  // every exporter prints: the JSON `prune_patterns` keys, the ledger rows,
+  // the Prometheus `prune.<name>.*` counters and the `--metrics` table's
+  // `prune:<name>` rows.
+  std::vector<LedgerPrunePattern> Patterns() const {
+    return {{"config_dependency", config_tested, config_dependency},
+            {"cursor", cursor_tested, cursor},
+            {"unused_hints", hints_tested, unused_hints},
+            {"peer_definition", peer_tested, peer_definition},
+            {"stale_code", stale_tested, stale_code}};
   }
 };
 

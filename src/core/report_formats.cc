@@ -141,11 +141,9 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
 
   json.Key("prune_stats").BeginObject();
   json.Int("candidates", report.prune_stats.original);
-  json.Int("config_dependency", report.prune_stats.config_dependency);
-  json.Int("cursor", report.prune_stats.cursor);
-  json.Int("unused_hints", report.prune_stats.unused_hints);
-  json.Int("peer_definition", report.prune_stats.peer_definition);
-  json.Int("stale_code", report.prune_stats.stale_code);
+  for (const LedgerPrunePattern& pattern : report.prune_stats.Patterns()) {
+    json.Int(pattern.name, pattern.pruned);
+  }
   json.Int("remaining", report.prune_stats.remaining);
   json.EndObject();
 
@@ -171,19 +169,7 @@ std::string ReportToJson(const AnalysisReport& report, const Repository* repo,
     json.EndObject();
 
     json.Key("prune_patterns").BeginObject();
-    const PruneStats& prune = report.prune_stats;
-    struct {
-      const char* name;
-      int tested;
-      int pruned;
-    } patterns[] = {
-        {"config_dependency", prune.config_tested, prune.config_dependency},
-        {"cursor", prune.cursor_tested, prune.cursor},
-        {"unused_hints", prune.hints_tested, prune.unused_hints},
-        {"peer_definition", prune.peer_tested, prune.peer_definition},
-        {"stale_code", prune.stale_tested, prune.stale_code},
-    };
-    for (const auto& pattern : patterns) {
+    for (const LedgerPrunePattern& pattern : report.prune_stats.Patterns()) {
       json.Key(pattern.name).BeginObject();
       json.Int("tested", pattern.tested);
       json.Int("pruned", pattern.pruned);
@@ -362,19 +348,8 @@ std::string RenderStageMetricsTable(const AnalysisReport& report) {
     if (s != PipelineStage::kPrune) {
       continue;
     }
-    struct {
-      const char* name;
-      int tested;
-      int pruned;
-    } patterns[] = {
-        {"prune:config-dependency", prune.config_tested, prune.config_dependency},
-        {"prune:cursor", prune.cursor_tested, prune.cursor},
-        {"prune:unused-hints", prune.hints_tested, prune.unused_hints},
-        {"prune:peer-definition", prune.peer_tested, prune.peer_definition},
-        {"prune:stale-code", prune.stale_tested, prune.stale_code},
-    };
-    for (const auto& pattern : patterns) {
-      table.AddRow({pattern.name, "",
+    for (const LedgerPrunePattern& pattern : prune.Patterns()) {
+      table.AddRow({"prune:" + pattern.name, "",
                     std::to_string(pattern.pruned) + " pruned / " +
                         std::to_string(pattern.tested - pattern.pruned) + " rejected of " +
                         std::to_string(pattern.tested) + " tested"});

@@ -77,13 +77,7 @@ RunRecord MakeRunRecord(const AnalysisReport& report, const std::string& label,
   m.prune_total = prune.TotalPruned();
   m.prune_remaining = prune.remaining;
   m.quarantined_units = static_cast<int64_t>(report.quarantined.size());
-  m.prune_patterns = {
-      {"config_dependency", prune.config_tested, prune.config_dependency},
-      {"cursor", prune.cursor_tested, prune.cursor},
-      {"unused_hints", prune.hints_tested, prune.unused_hints},
-      {"peer_definition", prune.peer_tested, prune.peer_definition},
-      {"stale_code", prune.stale_tested, prune.stale_code},
-  };
+  m.prune_patterns = prune.Patterns();
   m.pool_workers = report.stage.pool.workers;
   m.pool_tasks = static_cast<int64_t>(report.stage.pool.tasks_executed);
   m.pool_steals = static_cast<int64_t>(report.stage.pool.steals);

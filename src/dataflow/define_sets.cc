@@ -1,5 +1,7 @@
 #include "src/dataflow/define_sets.h"
 
+#include "src/dataflow/solver.h"
+
 namespace vc {
 
 void ApplyDefineTransfer(const IrFunction& func, const Instruction& inst, DefineMap& defs) {
@@ -11,37 +13,13 @@ void ApplyDefineTransfer(const IrFunction& func, const Instruction& inst, Define
 
 DefineSetResult ComputeDefineSets(const IrFunction& func, BudgetMeter* meter) {
   DefineSetResult result;
-  const size_t num_blocks = func.blocks.size();
-  result.in.assign(num_blocks, DefineMap());
-  result.out.assign(num_blocks, DefineMap());
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++result.iterations;
-    for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
-      if (meter != nullptr) {
-        meter->Charge(block.insts.size() + 1);
-      }
-      DefineMap out;
-      for (BlockId succ : block.succs) {
-        out.UnionWith(result.in[succ]);
-      }
-      DefineMap in = out;
-      for (size_t j = block.insts.size(); j-- > 0;) {
-        ApplyDefineTransfer(func, block.insts[j], in);
-      }
-      if (!(out == result.out[i])) {
-        result.out[i] = std::move(out);
-        changed = true;
-      }
-      if (!(in == result.in[i])) {
-        result.in[i] = std::move(in);
-        changed = true;
-      }
-    }
-  }
+  result.in.assign(func.blocks.size(), DefineMap());
+  result.out.assign(func.blocks.size(), DefineMap());
+  result.iterations = SolveBlocks<Direction::kBackward, Join::kMay>(
+      func, result.in, result.out,
+      [](DefineMap& into, const DefineMap& from) { return into.UnionWith(from); },
+      [&func](const Instruction& inst, DefineMap& defs) { ApplyDefineTransfer(func, inst, defs); },
+      meter);
   return result;
 }
 

@@ -25,8 +25,6 @@ class DefineMap {
  public:
   void Replace(SlotId slot, SourceLoc loc) { defs_[slot] = {loc}; }
 
-  void Clear(SlotId slot) { defs_.erase(slot); }
-
   const std::vector<SourceLoc>* Find(SlotId slot) const {
     auto it = defs_.find(slot);
     return it == defs_.end() ? nullptr : &it->second;

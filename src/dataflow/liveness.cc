@@ -1,5 +1,7 @@
 #include "src/dataflow/liveness.h"
 
+#include "src/dataflow/solver.h"
+
 namespace vc {
 
 namespace {
@@ -26,48 +28,40 @@ void ForEachFieldSlot(const IrFunction& func, SlotId slot, Fn fn) {
 }  // namespace
 
 void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, SlotSet& live) {
+  bool use = false;
   switch (inst.op) {
     case Opcode::kLoad:
-      live.Add(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        // Reading the whole struct reads each field.
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Add(field); });
-      }
-      break;
-    case Opcode::kStore:
-      live.Remove(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        // Overwriting the whole struct overwrites each field.
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Remove(field); });
-      }
+      use = true;
       break;
     case Opcode::kAddrSlot:
       // Escaped address: the slot may be read through a pointer after this
       // point, so treat the address-taking itself as a use (conservative, the
       // paper's rule from §4.1 "Pointer and Alias").
-      live.Add(inst.slot);
-      if (IsStructVarSlot(func, inst.slot)) {
-        ForEachFieldSlot(func, inst.slot, [&live](SlotId field) { live.Add(field); });
-      }
+      use = true;
+      break;
+    case Opcode::kStore:
       break;
     default:
       // Loads/stores through pointers and all value operations touch no slot
       // directly; escaped slots are handled by the address-taken suppression.
-      break;
+      return;
+  }
+  auto apply = [&](SlotId slot) { use ? live.Add(slot) : live.Remove(slot); };
+  apply(inst.slot);
+  if (IsStructVarSlot(func, inst.slot)) {
+    // Reading (overwriting) the whole struct reads (overwrites) each field.
+    ForEachFieldSlot(func, inst.slot, apply);
   }
 }
 
 SlotSet ComputeAddressTaken(const IrFunction& func) {
+  // The kAddrSlot transfer adds exactly the escaped slots: a struct variable
+  // with its fields, a field alone.
   SlotSet taken(func.slots.size());
   for (const auto& block : func.blocks) {
     for (const Instruction& inst : block->insts) {
       if (inst.op == Opcode::kAddrSlot) {
-        taken.Add(inst.slot);
-        if (IsStructVarSlot(func, inst.slot)) {
-          ForEachFieldSlot(func, inst.slot, [&taken](SlotId field) { taken.Add(field); });
-        }
-        // Taking a field's address escapes that field; its parent variable
-        // stays precise.
+        ApplyLivenessTransfer(func, inst, taken);
       }
     }
   }
@@ -76,39 +70,14 @@ SlotSet ComputeAddressTaken(const IrFunction& func) {
 
 LivenessResult ComputeLiveness(const IrFunction& func, BudgetMeter* meter) {
   LivenessResult result;
-  const size_t num_blocks = func.blocks.size();
-  result.live_in.assign(num_blocks, SlotSet(func.slots.size()));
-  result.live_out.assign(num_blocks, SlotSet(func.slots.size()));
+  result.live_in.assign(func.blocks.size(), SlotSet(func.slots.size()));
+  result.live_out.assign(func.blocks.size(), SlotSet(func.slots.size()));
   result.address_taken = ComputeAddressTaken(func);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++result.iterations;
-    // Reverse block order converges quickly for reducible CFGs.
-    for (size_t i = num_blocks; i-- > 0;) {
-      const BasicBlock& block = *func.blocks[i];
-      if (meter != nullptr) {
-        meter->Charge(block.insts.size() + 1);
-      }
-      SlotSet out(func.slots.size());
-      for (BlockId succ : block.succs) {
-        out.UnionWith(result.live_in[succ]);
-      }
-      SlotSet in = out;
-      for (size_t j = block.insts.size(); j-- > 0;) {
-        ApplyLivenessTransfer(func, block.insts[j], in);
-      }
-      if (!(out == result.live_out[i])) {
-        result.live_out[i] = std::move(out);
-        changed = true;
-      }
-      if (!(in == result.live_in[i])) {
-        result.live_in[i] = std::move(in);
-        changed = true;
-      }
-    }
-  }
+  result.iterations = SolveBlocks<Direction::kBackward, Join::kMay>(
+      func, result.live_in, result.live_out,
+      [](SlotSet& into, const SlotSet& from) { return into.UnionWith(from); },
+      [&func](const Instruction& inst, SlotSet& live) { ApplyLivenessTransfer(func, inst, live); },
+      meter);
   return result;
 }
 

@@ -16,8 +16,6 @@ class SlotSet {
   SlotSet() = default;
   explicit SlotSet(int num_slots) : bits_(static_cast<size_t>(num_slots), false) {}
 
-  void Resize(int num_slots) { bits_.resize(static_cast<size_t>(num_slots), false); }
-
   bool Contains(SlotId slot) const {
     return slot >= 0 && slot < static_cast<SlotId>(bits_.size()) && bits_[slot];
   }

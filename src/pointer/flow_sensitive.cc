@@ -1,5 +1,7 @@
 #include "src/pointer/flow_sensitive.h"
 
+#include "src/dataflow/solver.h"
+
 namespace vc {
 
 const std::set<SlotId> FlowSensitivePointsTo::kEmptySlots;
@@ -40,7 +42,17 @@ FlowSensitivePointsTo::FlowSensitivePointsTo(const IrFunction& func) {
       }
     }
   }
-  Solve(func);
+  // Forward may fixpoint over growing in/out maps. The transfer is monotone
+  // (strong updates replace with value states, which themselves only grow),
+  // so merging out-states converges. A final replay from the converged
+  // in-states records the value states.
+  std::vector<SlotMap> block_out(func.blocks.size());
+  auto transfer = [&](const Instruction& inst, SlotMap& state) { Transfer(func, inst, state); };
+  iterations_ = SolveBlocks<Direction::kForward, Join::kMay>(func, block_in_, block_out, MergeMap,
+                                                             transfer, nullptr);
+  Replay<Direction::kForward>(
+      func, [&](const BasicBlock& block) { return block_in_[block.id]; }, transfer,
+      [](const Instruction&, const SlotMap&) {});
   for (const NodeState& state : values_) {
     pointee_slots_.insert(state.slots.begin(), state.slots.end());
   }
@@ -52,18 +64,11 @@ FlowSensitivePointsTo::FlowSensitivePointsTo(const IrFunction& func) {
 }
 
 void FlowSensitivePointsTo::Transfer(const IrFunction& func, const Instruction& inst,
-                                     SlotMap& state, bool record_values) {
+                                     SlotMap& state) {
   auto value_state = [&](ValueId value) -> NodeState& { return values_[value]; };
-  auto set_value = [&](ValueId value, NodeState node) {
-    if (record_values) {
-      values_[value].MergeFrom(node);
-    } else {
-      // During fix-point iteration still accumulate; values are block-local,
-      // so their final state comes from the last visit with the converged
-      // in-state — accumulation is sound and converges.
-      values_[value].MergeFrom(node);
-    }
-  };
+  // Value states accumulate across passes: values are block-local, so the
+  // last visit, from the converged in-state, decides their final state.
+  auto set_value = [&](ValueId value, const NodeState& node) { values_[value].MergeFrom(node); };
 
   switch (inst.op) {
     case Opcode::kAddrSlot: {
@@ -157,38 +162,6 @@ void FlowSensitivePointsTo::Transfer(const IrFunction& func, const Instruction& 
     }
     default:
       break;
-  }
-}
-
-void FlowSensitivePointsTo::Solve(const IrFunction& func) {
-  // Forward fix point over monotonically growing in/out maps. The transfer is
-  // monotone (strong updates replace with value states, which themselves only
-  // grow), so merging out-states converges.
-  std::vector<SlotMap> block_out(func.blocks.size());
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++iterations_;
-    for (const auto& block : func.blocks) {
-      SlotMap in;
-      for (BlockId pred : block->preds) {
-        MergeMap(in, block_out[pred]);
-      }
-      changed |= MergeMap(block_in_[block->id], in);
-      SlotMap out = block_in_[block->id];
-      for (const Instruction& inst : block->insts) {
-        Transfer(func, inst, out, /*record_values=*/false);
-      }
-      changed |= MergeMap(block_out[block->id], out);
-    }
-  }
-
-  // Final pass: record value states from converged block in-states.
-  for (const auto& block : func.blocks) {
-    SlotMap state = block_in_[block->id];
-    for (const Instruction& inst : block->insts) {
-      Transfer(func, inst, state, /*record_values=*/true);
-    }
   }
 }
 

@@ -46,17 +46,12 @@ class FlowSensitivePointsTo {
     bool unknown = false;
 
     bool MergeFrom(const NodeState& other);
-    friend bool operator==(const NodeState& a, const NodeState& b) {
-      return a.slots == b.slots && a.funcs == b.funcs && a.unknown == b.unknown;
-    }
   };
   // Pointer contents of slots at a program point.
   using SlotMap = std::map<SlotId, NodeState>;
 
   static bool MergeMap(SlotMap& into, const SlotMap& from);
-  void Transfer(const IrFunction& func, const Instruction& inst, SlotMap& state,
-                bool record_values);
-  void Solve(const IrFunction& func);
+  void Transfer(const IrFunction& func, const Instruction& inst, SlotMap& state);
 
   std::vector<NodeState> values_;  // indexed by ValueId, at definition point
   std::vector<SlotMap> block_in_;

@@ -4,6 +4,7 @@
 
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
+#include "src/dataflow/solver.h"
 #include "src/support/json_reader.h"
 
 namespace vc {
@@ -96,7 +97,143 @@ std::string JoinFingerprints(const std::set<std::string>& set) {
   return out;
 }
 
+// Program points: (block, index) is the point before instruction `index` of
+// `block`; index == insts.size() is the block's end.
+using Point = std::pair<BlockId, size_t>;
+
+// Visits every point from which some CFG path reaches one of `targets` before
+// any instruction that `stops(block, index)` holds for: breadth-first over
+// points, against the direction of flow.
+template <typename StopFn, typename VisitFn>
+void ForEachPointReaching(const IrFunction& func, const std::vector<Point>& targets,
+                          StopFn stops, VisitFn visit) {
+  std::vector<std::vector<bool>> seen(func.blocks.size());
+  for (const auto& block : func.blocks) {
+    seen[block->id].assign(block->insts.size() + 1, false);
+  }
+  std::vector<Point> queue;
+  auto reach = [&](BlockId b, size_t i) {
+    if (!seen[b][i]) {
+      seen[b][i] = true;
+      queue.push_back({b, i});
+      visit(b, i);
+    }
+  };
+  for (const auto& [b, i] : targets) {
+    reach(b, i);
+  }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [b, i] = queue[head];
+    if (i > 0) {
+      if (!stops(b, i - 1)) {
+        reach(b, i - 1);
+      }
+      continue;
+    }
+    for (BlockId pred : func.blocks[b]->preds) {
+      reach(pred, func.blocks[pred]->insts.size());
+    }
+  }
+}
+
 }  // namespace
+
+std::string CheckDataflowFacts(const IrFunction& func, const LivenessResult& liveness,
+                               const DefineSetResult& defines) {
+  const SlotId num_slots = func.slots.size();
+  // Gen and kill, read off each instruction's transfer. Liveness is
+  // f(X) = (X - kill) + gen, so gen = f({}) and the survivors are f(all). A
+  // DefineSet transfer only replaces: it defines s, ending every path, where
+  // f({}) has an entry for s.
+  SlotSet all_slots(num_slots);
+  for (SlotId s = 0; s < num_slots; ++s) {
+    all_slots.Add(s);
+  }
+  struct Effects {
+    SlotSet gen;
+    SlotSet survivors;
+    DefineMap defined;
+  };
+  std::vector<std::vector<Effects>> effects(func.blocks.size());
+  for (const auto& block : func.blocks) {
+    for (const Instruction& inst : block->insts) {
+      Effects e{SlotSet(num_slots), all_slots, DefineMap()};
+      ApplyLivenessTransfer(func, inst, e.gen);
+      ApplyLivenessTransfer(func, inst, e.survivors);
+      ApplyDefineTransfer(func, inst, e.defined);
+      effects[block->id].push_back(std::move(e));
+    }
+  }
+
+  // The facts by path search, slot by slot: s is live where a path reaches a
+  // use of s before a kill; s's DefineSet holds each store of s from the
+  // points whose paths reach it before any other store of s.
+  struct Facts {
+    SlotSet live;
+    DefineMap defs;
+  };
+  std::vector<std::vector<Facts>> paths(func.blocks.size());
+  for (const auto& block : func.blocks) {
+    paths[block->id].assign(block->insts.size() + 1, Facts{SlotSet(num_slots), DefineMap()});
+  }
+  for (SlotId s = 0; s < num_slots; ++s) {
+    std::vector<Point> uses;
+    std::vector<Point> stores;
+    for (const auto& block : func.blocks) {
+      for (size_t i = 0; i < block->insts.size(); ++i) {
+        const Effects& e = effects[block->id][i];
+        if (e.gen.Contains(s)) {
+          uses.push_back({block->id, i});
+        }
+        if (e.defined.Find(s) != nullptr) {
+          stores.push_back({block->id, i});
+        }
+      }
+    }
+    auto kills = [&](BlockId b, size_t i) { return !effects[b][i].survivors.Contains(s); };
+    ForEachPointReaching(func, uses, kills, [&](BlockId b, size_t i) { paths[b][i].live.Add(s); });
+    auto defines = [&](BlockId b, size_t i) { return effects[b][i].defined.Find(s) != nullptr; };
+    for (const auto& [store_block, store_index] : stores) {
+      const std::vector<SourceLoc>& locs = *effects[store_block][store_index].defined.Find(s);
+      ForEachPointReaching(func, {{store_block, store_index}}, defines,
+                           [&](BlockId b, size_t i) {
+                             for (const SourceLoc& loc : locs) {
+                               DefineMap one;
+                               one.Replace(s, loc);
+                               paths[b][i].defs.UnionWith(one);
+                             }
+                           });
+    }
+  }
+
+  // The solver's facts: block boundaries from the results, the points inside
+  // a block from the replay the detector uses.
+  std::string failure;
+  auto compare = [&](BlockId b, size_t index, const Facts& solved) {
+    const Facts& path = paths[b][index];
+    if (failure.empty() && (!(solved.live == path.live) || !(solved.defs == path.defs))) {
+      failure = std::string(solved.live == path.live ? "DefineSets" : "liveness") + " of " +
+                func.name + " disagree with path search at block " + std::to_string(b) +
+                " point " + std::to_string(index) + "/" +
+                std::to_string(func.blocks[b]->insts.size());
+    }
+  };
+  for (const auto& block : func.blocks) {
+    const BlockId b = block->id;
+    compare(b, 0, Facts{liveness.live_in[b], defines.in[b]});
+    size_t index = block->insts.size();
+    Facts point{liveness.live_out[b], defines.out[b]};
+    WalkBlock<Direction::kBackward>(
+        *block, point,
+        [&func](const Instruction& inst, Facts& f) {
+          ApplyLivenessTransfer(func, inst, f.live);
+          ApplyDefineTransfer(func, inst, f.defs);
+        },
+        [&](const Instruction&, const Facts& f) { compare(b, index--, f); });
+    compare(b, 0, point);
+  }
+  return failure;
+}
 
 const char* OracleKindName(OracleKind kind) {
   switch (kind) {
@@ -114,6 +251,8 @@ const char* OracleKindName(OracleKind kind) {
       return "degraded_run";
     case OracleKind::kIncrementalEquivalence:
       return "incremental_equivalence";
+    case OracleKind::kDataflow:
+      return "dataflow";
   }
   return "unknown";
 }
@@ -131,7 +270,7 @@ std::vector<OracleKind> AllOracles() {
   return {OracleKind::kCleanFrontend,  OracleKind::kJobsDeterminism,
           OracleKind::kMetricsParity,  OracleKind::kJsonRoundTrip,
           OracleKind::kMetamorphic,    OracleKind::kDegradedRun,
-          OracleKind::kIncrementalEquivalence};
+          OracleKind::kIncrementalEquivalence, OracleKind::kDataflow};
 }
 
 bool OracleVerdict::Failed(OracleKind kind) const {
@@ -170,10 +309,11 @@ std::string OracleRunner::SerializeFindings(const AnalysisReport& report) {
     AppendCandidate(out, cand);
   }
   const PruneStats& prune = report.prune_stats;
-  out += "prune|" + std::to_string(prune.original) + "|" +
-         std::to_string(prune.config_dependency) + "|" + std::to_string(prune.cursor) + "|" +
-         std::to_string(prune.unused_hints) + "|" + std::to_string(prune.peer_definition) +
-         "|" + std::to_string(prune.stale_code) + "|" + std::to_string(prune.remaining) + "\n";
+  out += "prune|" + std::to_string(prune.original);
+  for (const LedgerPrunePattern& pattern : prune.Patterns()) {
+    out += "|" + std::to_string(pattern.pruned);
+  }
+  out += "|" + std::to_string(prune.remaining) + "\n";
   out += "non_cross_scope|" + std::to_string(report.non_cross_scope) + "\n";
   out += "diagnostics|" + std::to_string(report.diagnostic_warnings) + "|" +
          std::to_string(report.diagnostic_errors) + "\n";
@@ -426,6 +566,19 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
                "incremental report diverges from the full run at commit " +
                    std::to_string(commit) + " (jobs " + std::to_string(job_count) + ")"});
           diverged = true;
+        }
+      }
+    }
+  }
+
+  if (Enabled(OracleKind::kDataflow)) {
+    for (const auto& module : base.owned_project->modules()) {
+      for (const auto& func : module->functions) {
+        std::string failure =
+            CheckDataflowFacts(*func, ComputeLiveness(*func), ComputeDefineSets(*func));
+        if (!failure.empty()) {
+          verdict.failures.push_back({OracleKind::kDataflow, "", failure});
+          return verdict;
         }
       }
     }

@@ -22,6 +22,8 @@
 //                       engine yields, at every commit, exactly the findings
 //                       and raw candidates a full run over the truncated
 //                       repository yields
+//   dataflow          — every function's liveness and DefineSets equal, at
+//                       every point, what a CFG path search re-derives
 //
 // OracleOptions::parallel_fault is the harness's own test hook: a corruption
 // applied to parallel (jobs > 1) reports before comparison, simulating a
@@ -39,6 +41,8 @@
 #include <vector>
 
 #include "src/core/analysis.h"
+#include "src/dataflow/define_sets.h"
+#include "src/dataflow/liveness.h"
 #include "src/testing/mutator.h"
 #include "src/testing/testgen.h"
 
@@ -53,6 +57,7 @@ enum class OracleKind {
   kMetamorphic,
   kDegradedRun,
   kIncrementalEquivalence,
+  kDataflow,
 };
 
 const char* OracleKindName(OracleKind kind);
@@ -124,6 +129,15 @@ class OracleRunner {
 
   OracleOptions options_;
 };
+
+// The dataflow oracle's check, at every program point of `func` (points
+// inside a block through the solver's replay): s is live exactly when some
+// CFG path reaches a use of s with no kill in between, and s's DefineSet is
+// exactly the stores of s such paths reach first. Gen and kill come from the
+// single-instruction transfers; only the propagation is re-derived, by path
+// search. Returns "" when every fact agrees, else the first disagreement.
+std::string CheckDataflowFacts(const IrFunction& func, const LivenessResult& liveness,
+                               const DefineSetResult& defines);
 
 // Canned parallel fault: parallel runs lose every overwritten-definition
 // finding — the shape of a real slot-merge bug. Used by --inject-bug and the

@@ -255,6 +255,9 @@ TEST_F(CliTest, MetricsFlagPrintsStageTable) {
   EXPECT_NE(result.output.find("parse"), std::string::npos);
   EXPECT_NE(result.output.find("detect"), std::string::npos);
   EXPECT_NE(result.output.find("prune:cursor"), std::string::npos);
+  // Prune rows carry the JSON/ledger pattern names.
+  EXPECT_NE(result.output.find("prune:config_dependency"), std::string::npos);
+  EXPECT_NE(result.output.find("prune:peer_definition"), std::string::npos);
   EXPECT_NE(result.output.find("rank"), std::string::npos);
   EXPECT_NE(result.output.find("thread-pool"), std::string::npos);
   EXPECT_NE(result.output.find("metrics registry"), std::string::npos);

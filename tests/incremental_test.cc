@@ -74,7 +74,7 @@ TEST(Incremental, UsesBlameAtTheCommitNotHead) {
   repo.AddCommit(repo.AddAuthor("carol"), 3, "rewrite",
                  {{"a.c", "int unrelated(int q) {\n  return q;\n}\n"}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   ASSERT_EQ(result.findings().size(), 1u);
   EXPECT_EQ(result.findings()[0].def_author, repo.FindAuthor("alice"));
   EXPECT_EQ(result.findings()[0].responsible_author, repo.FindAuthor("bob"));
@@ -88,7 +88,7 @@ TEST(Incremental, CleanCommitKeepsFindingsEmpty) {
   std::string v2 = v1 + "int g(int y) {\n  return y * 2;\n}\n";
   CommitId c2 = repo.AddCommit(alice, 2, "add g", {{"a.c", v2}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   EXPECT_TRUE(result.findings().empty());
   EXPECT_EQ(result.functions_total, 2);
 }
@@ -104,7 +104,7 @@ TEST(Incremental, MultiFileCommitReportsWholeProject) {
   std::string b2 = b1 + "int gb(int y) {\n  int t = y;\n  return t;\n}\n";
   CommitId c2 = repo.AddCommit(bob, 2, "extend both", {{"a.c", a2}, {"b.c", b2}});
 
-  IncrementalResult result = Analysis().RunOnCommit(repo, c2);
+  IncrementalResult result = IncrementalEngine(AnalysisOptions{}).AnalyzeCommit(repo, c2);
   EXPECT_EQ(result.files_changed, 2);
   EXPECT_EQ(result.files_reparsed, 2);
   EXPECT_EQ(result.functions_total, 4);
@@ -146,7 +146,7 @@ TEST(Incremental, DirtySliceScopedToTheChangedFile) {
   EXPECT_GT(inc.cache.DetectHitRate(), 0.0);
 }
 
-TEST(Incremental, FacadeReusesWarmEngineAcrossSequentialCommits) {
+TEST(Incremental, EngineReusesWarmCachesAcrossSequentialCommits) {
   Repository repo;
   AuthorId alice = repo.AddAuthor("alice");
   std::map<std::string, std::string> files;
@@ -158,10 +158,10 @@ TEST(Incremental, FacadeReusesWarmEngineAcrossSequentialCommits) {
   CommitId c2 = repo.AddCommit(alice, 2, "touch one",
                                {{"f0.c", "int fn_0(int a) {\n  return a + 1;\n}\n"}});
 
-  Analysis analysis;
-  IncrementalResult first = analysis.RunOnCommit(repo, 0);
+  IncrementalEngine engine{AnalysisOptions{}};
+  IncrementalResult first = engine.AnalyzeCommit(repo, 0);
   EXPECT_EQ(first.files_reparsed, 5);
-  IncrementalResult second = analysis.RunOnCommit(repo, c2);
+  IncrementalResult second = engine.AnalyzeCommit(repo, c2);
   // The warm engine re-parses only the touched file and carries the rest.
   EXPECT_EQ(second.files_reparsed, 1);
   EXPECT_EQ(second.functions_total, 5);

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
            "comma-separated subset of:\n"
            "clean_frontend jobs_determinism metrics_parity\n"
            "json_round_trip metamorphic degraded_run\n"
-           "(default: all)",
+           "incremental_equivalence dataflow (default: all)",
            vc::StoreList(oracle_names, is_oracle, "oracle")},
           {"--checkers", "LIST",
            "comma-separated checker names the analyzed runs\n"
