@@ -1,11 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the analysis substrates: parsing,
-// IR lowering, liveness fix points, Andersen's points-to, Myers diff, blame
-// replay, and .vchist loading. These are ablation-style measurements for
+// IR lowering, liveness fix points, the per-function detect kernel over a
+// generated corpus, Andersen's points-to, Myers diff, blame replay, and
+// .vchist loading. These are ablation-style measurements for
 // DESIGN.md's design choices (per-function analysis, snapshot storage with
 // diff-based blame).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "src/checkers/checker_context.h"
+#include "src/checkers/double_overwrite.h"
 #include "src/core/detector.h"
 #include "src/core/project.h"
 #include "src/corpus/generator.h"
@@ -16,6 +21,7 @@
 #include "src/parser/parser.h"
 #include "src/pointer/andersen.h"
 #include "src/support/rng.h"
+#include "src/testing/corpusgen.h"
 #include "src/vcs/diff.h"
 #include "src/vcs/history_io.h"
 #include "src/vcs/repository.h"
@@ -76,9 +82,9 @@ void BM_LivenessFixPoint(benchmark::State& state) {
   std::string code = SyntheticFunction(0, static_cast<int>(state.range(0)));
   vc::TranslationUnit unit = vc::ParseString(sm, "bench.c", code, diags);
   auto module = vc::LowerUnit(unit);
-  const vc::IrFunction& func = *module->functions.front();
+  const vc::SlotLayout layout(*module->functions.front());
   for (auto _ : state) {
-    vc::LivenessResult result = vc::ComputeLiveness(func);
+    vc::LivenessResult result = vc::ComputeLiveness(layout);
     benchmark::DoNotOptimize(result.iterations);
   }
 }
@@ -90,13 +96,78 @@ void BM_DefineSets(benchmark::State& state) {
   std::string code = SyntheticFunction(0, static_cast<int>(state.range(0)));
   vc::TranslationUnit unit = vc::ParseString(sm, "bench.c", code, diags);
   auto module = vc::LowerUnit(unit);
-  const vc::IrFunction& func = *module->functions.front();
+  const vc::SlotLayout layout(*module->functions.front());
   for (auto _ : state) {
-    vc::DefineSetResult result = vc::ComputeDefineSets(func);
+    vc::DefineSetResult result = vc::ComputeDefineSets(layout);
     benchmark::DoNotOptimize(result.iterations);
   }
 }
 BENCHMARK(BM_DefineSets)->Arg(8)->Arg(64);
+
+// The detect kernel per function over a vc_corpusgen linux-like/small
+// corpus (seed 1), one row per layer. Each iteration makes a fresh
+// CheckerContext per function and, untimed, computes what the measured layer
+// reads; the `function_time` counter is the mean time per function. The
+// liveness row includes building the slot layout, which the slot_layout row
+// times alone.
+enum class KernelLayer { kSlotLayout, kLiveness, kDefineSets, kDetectorReplay, kDoubleOverwrite };
+
+void BM_CorpusKernel(benchmark::State& state, KernelLayer layer) {
+  static const vc::Project project = [] {
+    vc::testing::CorpusProfile profile;
+    vc::testing::MakeCorpusProfile("linux-like", "small", 1, &profile);
+    return vc::Project::FromSources(vc::testing::GenerateCorpusSources(profile));
+  }();
+  std::vector<std::pair<vc::FileId, const vc::IrFunction*>> functions;
+  for (const auto& module : project.modules()) {
+    for (const auto& func : module->functions) {
+      functions.push_back({module->file, func.get()});
+    }
+  }
+  const vc::DoubleOverwriteChecker double_overwrite;
+  std::vector<std::unique_ptr<vc::CheckerContext>> contexts(functions.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < functions.size(); ++i) {
+      contexts[i] = std::make_unique<vc::CheckerContext>(project, functions[i].first,
+                                                         *functions[i].second);
+      if (layer != KernelLayer::kSlotLayout && layer != KernelLayer::kLiveness) {
+        contexts[i]->liveness();
+      }
+      if (layer == KernelLayer::kDetectorReplay) {
+        contexts[i]->defines();
+      }
+    }
+    state.ResumeTiming();
+    for (auto& ctx : contexts) {
+      switch (layer) {
+        case KernelLayer::kSlotLayout:
+          benchmark::DoNotOptimize(ctx->layout().num_stores());
+          break;
+        case KernelLayer::kLiveness:
+          benchmark::DoNotOptimize(ctx->liveness().iterations);
+          break;
+        case KernelLayer::kDefineSets:
+          benchmark::DoNotOptimize(ctx->defines().iterations);
+          break;
+        case KernelLayer::kDetectorReplay:
+          benchmark::DoNotOptimize(vc::DetectInFunction(*ctx).size());
+          break;
+        case KernelLayer::kDoubleOverwrite:
+          benchmark::DoNotOptimize(double_overwrite.Check(*ctx).size());
+          break;
+      }
+    }
+  }
+  state.counters["function_time"] =
+      benchmark::Counter(static_cast<double>(functions.size()),
+                         benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_CorpusKernel, slot_layout, KernelLayer::kSlotLayout);
+BENCHMARK_CAPTURE(BM_CorpusKernel, liveness, KernelLayer::kLiveness);
+BENCHMARK_CAPTURE(BM_CorpusKernel, define_sets, KernelLayer::kDefineSets);
+BENCHMARK_CAPTURE(BM_CorpusKernel, detector_replay, KernelLayer::kDetectorReplay);
+BENCHMARK_CAPTURE(BM_CorpusKernel, double_overwrite, KernelLayer::kDoubleOverwrite);
 
 void BM_AndersenPointsTo(benchmark::State& state) {
   // Pointer-heavy function: a chain of copies and swaps.

@@ -1,7 +1,11 @@
 #include "src/checkers/baseline_checkers.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/ast/walk.h"
 #include "src/core/detector.h"
@@ -101,7 +105,13 @@ std::vector<UnusedDefCandidate> ClangUnusedChecker::Check(CheckerContext& ctx) c
   }
   std::map<const VarDecl*, VarUsage> usage;
   ScanFunction(func, usage);
-  for (const auto& [var, info] : usage) {
+  // Report in declaration order: the map's pointer order follows the heap,
+  // which differs between runs, --jobs values and builds.
+  std::vector<std::pair<const VarDecl*, VarUsage>> vars(usage.begin(), usage.end());
+  std::sort(vars.begin(), vars.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.first->loc, a.first->name) < std::tie(b.first->loc, b.first->name);
+  });
+  for (const auto& [var, info] : vars) {
     if (var->is_global || var->is_param || var->has_unused_attr) {
       continue;
     }

@@ -27,16 +27,23 @@ UnusedDefCandidate CheckerContext::SlotCandidate(SlotId slot, SourceLoc loc,
   return cand;
 }
 
+const SlotLayout& CheckerContext::layout() {
+  if (layout_ == nullptr) {
+    layout_ = std::make_unique<SlotLayout>(func_);
+  }
+  return *layout_;
+}
+
 const LivenessResult& CheckerContext::liveness() {
   if (liveness_ == nullptr) {
-    liveness_ = std::make_unique<LivenessResult>(ComputeLiveness(func_, meter_));
+    liveness_ = std::make_unique<LivenessResult>(ComputeLiveness(layout(), meter_));
   }
   return *liveness_;
 }
 
 const DefineSetResult& CheckerContext::defines() {
   if (defines_ == nullptr) {
-    defines_ = std::make_unique<DefineSetResult>(ComputeDefineSets(func_, meter_));
+    defines_ = std::make_unique<DefineSetResult>(ComputeDefineSets(layout(), meter_));
   }
   return *defines_;
 }

@@ -37,6 +37,8 @@ class CheckerContext {
   // Shared analyses, computed on first access and memoized. Access order
   // matters for budget accounting: the unused-definition checker requests
   // liveness then define sets, preserving the pre-framework charge order.
+  // The slot layout (field slots, store ids) is unmetered set-up.
+  const SlotLayout& layout();
   const LivenessResult& liveness();
   const DefineSetResult& defines();
   const PointsTo& points_to();
@@ -61,6 +63,7 @@ class CheckerContext {
   const IrFunction& func_;
   BudgetMeter* meter_;
 
+  std::unique_ptr<SlotLayout> layout_;
   std::unique_ptr<LivenessResult> liveness_;
   std::unique_ptr<DefineSetResult> defines_;
   std::unique_ptr<PointsTo> points_to_;

@@ -1,108 +1,107 @@
 #include "src/checkers/double_overwrite.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <vector>
+#include <utility>
 
 #include "src/dataflow/solver.h"
 
 namespace vc {
 
-namespace {
-
-// Must-analysis state: per slot, the one store location that is pending
-// (written, not yet read) on every path reaching this point.
-using PendingMap = std::map<SlotId, SourceLoc>;
-
-// into = intersection of the pending maps (same slot, same store). Returns
-// true if `into` changed.
-bool IntersectInto(PendingMap& into, const PendingMap& other) {
-  bool changed = false;
-  for (auto it = into.begin(); it != into.end();) {
-    auto found = other.find(it->first);
-    if (found == other.end() || !(found->second == it->second)) {
-      it = into.erase(it);
-      changed = true;
-    } else {
-      ++it;
-    }
-  }
-  return changed;
-}
-
-}  // namespace
-
-std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ctx) const {
-  const IrFunction& func = ctx.func();
-  const SlotSet& address_taken = ctx.address_taken();
-
+PendingStores::PendingStores(const SlotLayout& layout, const SlotSet& address_taken)
+    : layout_(layout), tracked_(layout.num_slots()) {
   // Only address-taken slots: everything else is already covered (better) by
   // the unused-def checker, and disjoint envelopes keep the two checkers'
   // findings from double-reporting one dead store.
-  auto eligible = [&](SlotId id) {
+  const IrFunction& func = layout.func();
+  for (SlotId id = 0; id < layout.num_slots(); ++id) {
     const Slot& slot = func.slots[id];
-    return slot.var != nullptr && !slot.var->is_global && !slot.is_synthetic &&
-           !slot.IsFieldSlot() && address_taken.Contains(id);
-  };
-
-  auto transfer = [&](const Instruction& inst, PendingMap& pending) {
-    switch (inst.op) {
-      case Opcode::kLoad:
-        pending.erase(inst.slot);
-        break;
-      case Opcode::kAddrSlot:
-        // The address flows somewhere; any later use could read the slot.
-        pending.erase(inst.slot);
-        break;
-      case Opcode::kCall:
-      case Opcode::kLoadInd:
-      case Opcode::kStoreInd:
-        // May read any slot whose address escaped.
-        for (auto it = pending.begin(); it != pending.end();) {
-          if (address_taken.Contains(it->first)) {
-            it = pending.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        break;
-      case Opcode::kStore:
-        if (eligible(inst.slot)) {
-          pending[inst.slot] = inst.loc;
-        } else {
-          pending.erase(inst.slot);
-        }
-        break;
-      default:
-        break;
+    if (slot.var != nullptr && !slot.var->is_global && !slot.is_synthetic &&
+        !slot.IsFieldSlot() && address_taken.Contains(id)) {
+      tracked_.Add(id);
     }
-  };
+  }
+}
 
-  // Forward must fixpoint. The solver keeps a block whose preds are all
-  // still TOP at TOP: seeding it with the empty map (BOTTOM) once made a
-  // loop with recursion, an address-taken local and an if oscillate forever.
-  const size_t num_blocks = func.blocks.size();
-  std::vector<PendingMap> in(num_blocks);
-  std::vector<PendingMap> out(num_blocks);
-  SolveBlocks<Direction::kForward, Join::kMust>(func, in, out, IntersectInto, transfer,
-                                                ctx.meter());
+void PendingStores::Transfer(const Instruction& inst, SlotSet& pending) const {
+  switch (inst.op) {
+    case Opcode::kLoad:
+    case Opcode::kAddrSlot: {
+      // A read, or an address that flows somewhere any later use could
+      // read the slot through.
+      const StoreRange range = layout_.Stores(inst.slot);
+      pending.RemoveRange(range.begin, range.end);
+      break;
+    }
+    case Opcode::kCall:
+    case Opcode::kLoadInd:
+    case Opcode::kStoreInd:
+      // May read any slot whose address escaped, and every tracked slot's
+      // address did.
+      pending.Clear();
+      break;
+    case Opcode::kStore:
+      if (Tracked(inst.slot)) {
+        const StoreRange range = layout_.Stores(inst.slot);
+        pending.RemoveRange(range.begin, range.end);
+        pending.Add(layout_.StoreOf(inst));
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+int PendingStores::Solve(std::vector<SlotSet>& in, std::vector<SlotSet>& out,
+                         BudgetMeter* meter) const {
+  // The solver keeps a block whose preds are all still TOP at TOP: seeding
+  // it with the empty set (BOTTOM) once made a loop with recursion, an
+  // address-taken local and an if oscillate forever.
+  const size_t num_blocks = layout_.func().blocks.size();
+  in.assign(num_blocks, SlotSet());
+  out.assign(num_blocks, SlotSet());
+  auto join = [](SlotSet& into, const SlotSet& from) { return into.IntersectWith(from); };
+  if (!TracksAny()) {
+    // No store can become pending, so every state stays empty: the passes
+    // (and their charges) are the same without walking the instructions.
+    return SolveBlocks<Direction::kForward, Join::kMust>(
+        layout_.func(), in, out, join, [](const Instruction&, SlotSet&) {}, meter);
+  }
+  return SolveBlocks<Direction::kForward, Join::kMust>(
+      layout_.func(), in, out, join,
+      [this](const Instruction& inst, SlotSet& pending) { Transfer(inst, pending); }, meter);
+}
+
+std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ctx) const {
+  const IrFunction& func = ctx.func();
+  const SlotLayout& layout = ctx.layout();
+  const PendingStores analysis(layout, ctx.address_taken());
+  std::vector<SlotSet> in;
+  std::vector<SlotSet> out;
+  analysis.Solve(in, out, ctx.meter());
+  if (!analysis.TracksAny()) {
+    return {};  // nothing was ever pending, so the replay would find no kill
+  }
 
   // Replay from the converged in-states to collect the kills once: a store
-  // to an eligible slot with a different store still pending kills it.
+  // to a tracked slot with a different store still pending kills it. Kills
+  // are deduplicated by their location pair.
   std::set<std::pair<SourceLoc, SourceLoc>> seen;
   std::vector<std::pair<SlotId, std::pair<SourceLoc, SourceLoc>>> kills;
   Replay<Direction::kForward>(
-      func, [&](const BasicBlock& block) { return in[block.id]; }, transfer,
-      [&](const Instruction& inst, const PendingMap& pending) {
-        if (inst.op != Opcode::kStore || !eligible(inst.slot)) {
+      func, [&](const BasicBlock& block) { return in[block.id]; },
+      [&](const Instruction& inst, SlotSet& pending) { analysis.Transfer(inst, pending); },
+      [&](const Instruction& inst, const SlotSet& pending) {
+        if (inst.op != Opcode::kStore || !analysis.Tracked(inst.slot)) {
           return;
         }
-        auto it = pending.find(inst.slot);
-        if (it != pending.end() && !(it->second == inst.loc) &&
-            seen.insert({it->second, inst.loc}).second) {
-          kills.push_back({inst.slot, {it->second, inst.loc}});
-        }
+        const StoreRange range = layout.Stores(inst.slot);
+        pending.ForEachInRange(range.begin, range.end, [&](StoreId killed) {
+          const SourceLoc& killed_loc = layout.StoreLoc(killed);
+          if (killed_loc != inst.loc && seen.insert({killed_loc, inst.loc}).second) {
+            kills.push_back({inst.slot, {killed_loc, inst.loc}});
+          }
+        });
       });
 
   std::sort(kills.begin(), kills.end(),

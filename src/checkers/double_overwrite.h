@@ -15,9 +15,38 @@
 #ifndef VALUECHECK_SRC_CHECKERS_DOUBLE_OVERWRITE_H_
 #define VALUECHECK_SRC_CHECKERS_DOUBLE_OVERWRITE_H_
 
+#include <vector>
+
 #include "src/checkers/checker.h"
+#include "src/dataflow/slot_layout.h"
+#include "src/dataflow/slot_set.h"
 
 namespace vc {
+
+// The checker's must analysis: at each point, the stores (store ids of the
+// SlotLayout) written to a tracked slot and not yet possibly read, on every
+// path from a block without predecessors. A tracked slot is an address-taken,
+// non-global, non-synthetic whole local; each has at most one pending store.
+class PendingStores {
+ public:
+  PendingStores(const SlotLayout& layout, const SlotSet& address_taken);
+
+  bool Tracked(SlotId slot) const { return tracked_.Contains(slot); }
+  bool TracksAny() const { return tracked_.Count() > 0; }
+
+  // Forward transfer: a store to a tracked slot becomes its pending store; a
+  // load or address-take of a slot ends its pending store; a call or an
+  // indirect load or store may read any escaped slot, so it ends them all.
+  void Transfer(const Instruction& inst, SlotSet& pending) const;
+
+  // Solves to the fixpoint into `in`/`out` (block entry/exit) and returns the
+  // pass count. Blocks no start reaches keep empty states.
+  int Solve(std::vector<SlotSet>& in, std::vector<SlotSet>& out, BudgetMeter* meter) const;
+
+ private:
+  const SlotLayout& layout_;
+  SlotSet tracked_;
+};
 
 class DoubleOverwriteChecker : public Checker {
  public:

@@ -40,7 +40,9 @@ std::vector<UnusedDefCandidate> OutParamChecker::Check(CheckerContext& ctx) cons
   // call. Not live there means the callee's write is never consumed.
   Replay<Direction::kBackward>(
       func, [&](const BasicBlock& block) { return liveness.live_out[block.id]; },
-      [&func](const Instruction& inst, SlotSet& live) { ApplyLivenessTransfer(func, inst, live); },
+      [&layout = ctx.layout()](const Instruction& inst, SlotSet& live) {
+        ApplyLivenessTransfer(layout, inst, live);
+      },
       [&](const Instruction& inst, const SlotSet& live) {
         if (inst.op != Opcode::kCall || inst.callee == nullptr) {
           return;

@@ -27,6 +27,7 @@ std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx) {
   // have always been computed with.
   const LivenessResult& liveness = ctx.liveness();
   const DefineSetResult& defines = ctx.defines();
+  const SlotLayout& layout = ctx.layout();
   const IrFunction& func = ctx.func();
   std::vector<UnusedDefCandidate> candidates;
 
@@ -42,9 +43,9 @@ std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx) {
       [&](const BasicBlock& block) {
         return Point{liveness.live_out[block.id], defines.out[block.id]};
       },
-      [&func](const Instruction& inst, Point& point) {
-        ApplyLivenessTransfer(func, inst, point.live);
-        ApplyDefineTransfer(func, inst, point.defs);
+      [&layout](const Instruction& inst, Point& point) {
+        ApplyLivenessTransfer(layout, inst, point.live);
+        ApplyDefineTransfer(layout, inst, point.defs);
       },
       [&](const Instruction& inst, const Point& point) {
         if (inst.op != Opcode::kStore || point.live.Contains(inst.slot)) {
@@ -63,10 +64,8 @@ std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx) {
         }
         cand.is_increment = inst.is_increment;
         cand.increment_amount = inst.increment_amount;
-        if (const std::vector<SourceLoc>* overwriters = point.defs.Find(inst.slot)) {
-          cand.overwritten = true;
-          cand.overwriter_locs = *overwriters;
-        }
+        cand.overwriter_locs = layout.StoreLocs(point.defs, inst.slot);
+        cand.overwritten = !cand.overwriter_locs.empty();
         candidates.push_back(std::move(cand));
       },
       ctx.meter());
@@ -82,10 +81,8 @@ std::vector<UnusedDefCandidate> DetectInFunction(CheckerContext& ctx) {
       }
       UnusedDefCandidate cand = ctx.SlotCandidate(param_slot, func.slots[param_slot].var->loc);
       cand.is_param = true;
-      if (const std::vector<SourceLoc>* overwriters = entry_defs.Find(param_slot)) {
-        cand.overwritten = true;
-        cand.overwriter_locs = *overwriters;
-      }
+      cand.overwriter_locs = layout.StoreLocs(entry_defs, param_slot);
+      cand.overwritten = !cand.overwriter_locs.empty();
       candidates.push_back(std::move(cand));
     }
   }

@@ -10,47 +10,19 @@
 #ifndef VALUECHECK_SRC_DATAFLOW_DEFINE_SETS_H_
 #define VALUECHECK_SRC_DATAFLOW_DEFINE_SETS_H_
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
+#include "src/dataflow/slot_layout.h"
+#include "src/dataflow/slot_set.h"
 #include "src/ir/ir.h"
 #include "src/support/fault.h"
 
 namespace vc {
 
-// The nearest next definitions of each slot, keyed by slot id. Values are the
-// source locations of the overwriting stores, sorted and deduplicated.
-class DefineMap {
- public:
-  void Replace(SlotId slot, SourceLoc loc) { defs_[slot] = {loc}; }
-
-  const std::vector<SourceLoc>* Find(SlotId slot) const {
-    auto it = defs_.find(slot);
-    return it == defs_.end() ? nullptr : &it->second;
-  }
-
-  // this = union(this, other) per slot. Returns true if this changed.
-  bool UnionWith(const DefineMap& other) {
-    bool changed = false;
-    for (const auto& [slot, locs] : other.defs_) {
-      std::vector<SourceLoc>& mine = defs_[slot];
-      for (const SourceLoc& loc : locs) {
-        if (std::find(mine.begin(), mine.end(), loc) == mine.end()) {
-          mine.push_back(loc);
-          changed = true;
-        }
-      }
-      std::sort(mine.begin(), mine.end());
-    }
-    return changed;
-  }
-
-  friend bool operator==(const DefineMap& a, const DefineMap& b) { return a.defs_ == b.defs_; }
-
- private:
-  std::map<SlotId, std::vector<SourceLoc>> defs_;
-};
+// The nearest next definitions of every slot: a set of store ids of the
+// function's SlotLayout. SlotLayout::StoreLocs(defs, slot) reads one slot's
+// overwriting locations back, sorted.
+using DefineMap = SlotSet;
 
 struct DefineSetResult {
   // Indexed by block id: state at block entry (in) and exit (out), in
@@ -62,11 +34,11 @@ struct DefineSetResult {
 
 // Applies one instruction's backward transfer: a store to slot s replaces the
 // next-definition set of s with {this store}.
-void ApplyDefineTransfer(const IrFunction& func, const Instruction& inst, DefineMap& defs);
+void ApplyDefineTransfer(const SlotLayout& layout, const Instruction& inst, DefineMap& defs);
 
 // A non-null `meter` is charged one step per instruction per pass and may
 // throw BudgetExceededError (see ComputeLiveness).
-DefineSetResult ComputeDefineSets(const IrFunction& func, BudgetMeter* meter = nullptr);
+DefineSetResult ComputeDefineSets(const SlotLayout& layout, BudgetMeter* meter = nullptr);
 
 }  // namespace vc
 

@@ -4,30 +4,7 @@
 
 namespace vc {
 
-namespace {
-
-bool IsStructVarSlot(const IrFunction& func, SlotId slot) {
-  const Slot& s = func.slots[slot];
-  return s.var != nullptr && s.field_index < 0 && s.var->type != nullptr &&
-         s.var->type->IsStruct();
-}
-
-// Applies `fn` to every field slot of the same variable as `slot` (which must
-// be a whole-variable slot).
-template <typename Fn>
-void ForEachFieldSlot(const IrFunction& func, SlotId slot, Fn fn) {
-  const VarDecl* var = func.slots[slot].var;
-  for (SlotId other = 0; other < func.slots.size(); ++other) {
-    const Slot& candidate = func.slots[other];
-    if (candidate.var == var && candidate.field_index >= 0) {
-      fn(other);
-    }
-  }
-}
-
-}  // namespace
-
-void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, SlotSet& live) {
+void ApplyLivenessTransfer(const SlotLayout& layout, const Instruction& inst, SlotSet& live) {
   bool use = false;
   switch (inst.op) {
     case Opcode::kLoad:
@@ -48,35 +25,38 @@ void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, Slot
   }
   auto apply = [&](SlotId slot) { use ? live.Add(slot) : live.Remove(slot); };
   apply(inst.slot);
-  if (IsStructVarSlot(func, inst.slot)) {
-    // Reading (overwriting) the whole struct reads (overwrites) each field.
-    ForEachFieldSlot(func, inst.slot, apply);
+  // Reading (overwriting) a whole struct reads (overwrites) each field.
+  for (SlotId field : layout.FieldSlots(inst.slot)) {
+    apply(field);
   }
 }
 
-SlotSet ComputeAddressTaken(const IrFunction& func) {
+SlotSet ComputeAddressTaken(const SlotLayout& layout) {
   // The kAddrSlot transfer adds exactly the escaped slots: a struct variable
   // with its fields, a field alone.
-  SlotSet taken(func.slots.size());
-  for (const auto& block : func.blocks) {
+  SlotSet taken(layout.num_slots());
+  for (const auto& block : layout.func().blocks) {
     for (const Instruction& inst : block->insts) {
       if (inst.op == Opcode::kAddrSlot) {
-        ApplyLivenessTransfer(func, inst, taken);
+        ApplyLivenessTransfer(layout, inst, taken);
       }
     }
   }
   return taken;
 }
 
-LivenessResult ComputeLiveness(const IrFunction& func, BudgetMeter* meter) {
+LivenessResult ComputeLiveness(const SlotLayout& layout, BudgetMeter* meter) {
+  const IrFunction& func = layout.func();
   LivenessResult result;
-  result.live_in.assign(func.blocks.size(), SlotSet(func.slots.size()));
-  result.live_out.assign(func.blocks.size(), SlotSet(func.slots.size()));
-  result.address_taken = ComputeAddressTaken(func);
+  result.live_in.assign(func.blocks.size(), SlotSet(layout.num_slots()));
+  result.live_out.assign(func.blocks.size(), SlotSet(layout.num_slots()));
+  result.address_taken = ComputeAddressTaken(layout);
   result.iterations = SolveBlocks<Direction::kBackward, Join::kMay>(
       func, result.live_in, result.live_out,
       [](SlotSet& into, const SlotSet& from) { return into.UnionWith(from); },
-      [&func](const Instruction& inst, SlotSet& live) { ApplyLivenessTransfer(func, inst, live); },
+      [&layout](const Instruction& inst, SlotSet& live) {
+        ApplyLivenessTransfer(layout, inst, live);
+      },
       meter);
   return result;
 }

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "src/dataflow/slot_layout.h"
 #include "src/dataflow/slot_set.h"
 #include "src/ir/ir.h"
 #include "src/support/fault.h"
@@ -33,15 +34,15 @@ struct LivenessResult {
 
 // Applies one instruction's backward transfer function to `live`. Exposed so
 // the detector can replay block-internal states from the block's live-out.
-void ApplyLivenessTransfer(const IrFunction& func, const Instruction& inst, SlotSet& live);
+void ApplyLivenessTransfer(const SlotLayout& layout, const Instruction& inst, SlotSet& live);
 
 // Runs the analysis to its fix point. A non-null `meter` is charged one step
 // per instruction per pass and may throw BudgetExceededError, which the
 // detector's per-unit isolation turns into a quarantine.
-LivenessResult ComputeLiveness(const IrFunction& func, BudgetMeter* meter = nullptr);
+LivenessResult ComputeLiveness(const SlotLayout& layout, BudgetMeter* meter = nullptr);
 
 // Computes the address-taken slot set alone (also part of LivenessResult).
-SlotSet ComputeAddressTaken(const IrFunction& func);
+SlotSet ComputeAddressTaken(const SlotLayout& layout);
 
 }  // namespace vc
 

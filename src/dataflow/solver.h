@@ -10,9 +10,9 @@
 #ifndef VALUECHECK_SRC_DATAFLOW_SOLVER_H_
 #define VALUECHECK_SRC_DATAFLOW_SOLVER_H_
 
-#include <utility>
 #include <vector>
 
+#include "src/dataflow/slot_set.h"
 #include "src/ir/ir.h"
 #include "src/support/fault.h"
 
@@ -56,11 +56,13 @@ int SolveBlocks(const IrFunction& func, std::vector<State>& entry, std::vector<S
     return kBackward ? block.succs : block.preds;
   };
   const size_t num_blocks = func.blocks.size();
-  std::vector<bool> reached(num_blocks, kJoin == Join::kMay);
+  // The blocks that have a state; every block counts as reached for kMay.
+  SlotSet reached;
+  auto has_state = [&reached](BlockId b) { return kJoin == Join::kMay || reached.Contains(b); };
   auto must_boundary = [&](const BasicBlock& block, State& into) {
     bool any = false;
     for (BlockId nb : neighbours(block)) {
-      if (!reached[nb]) {
+      if (!has_state(nb)) {
         continue;
       }
       if (any) {
@@ -73,6 +75,9 @@ int SolveBlocks(const IrFunction& func, std::vector<State>& entry, std::vector<S
     return any;
   };
 
+  // One scratch state for every visit: assigning into it reuses its storage,
+  // so a pass allocates nothing once each block has a state.
+  State state;
   int iterations = 0;
   for (bool changed = true; changed;) {
     changed = false;
@@ -82,21 +87,24 @@ int SolveBlocks(const IrFunction& func, std::vector<State>& entry, std::vector<S
       if (meter != nullptr) {
         meter->Charge(block.insts.size() + 1);
       }
-      State state;
       if constexpr (kJoin == Join::kMay) {
         for (BlockId nb : neighbours(block)) {
           changed |= join(near[block.id], far[nb]);
         }
         state = near[block.id];
-      } else if (!must_boundary(block, state) && !neighbours(block).empty()) {
-        continue;  // every neighbour is still TOP
+      } else if (!must_boundary(block, state)) {
+        if (!neighbours(block).empty()) {
+          continue;  // every neighbour is still TOP
+        }
+        state = State();
       }
       WalkBlock<kDir>(block, state, transfer, [](const Instruction&, const State&) {});
-      if (reached[block.id]) {
+      if (has_state(block.id)) {
         changed |= join(far[block.id], state);
       } else {
-        far[block.id] = std::move(state);
-        reached[block.id] = changed = true;
+        far[block.id] = state;
+        reached.Add(block.id);
+        changed = true;
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "src/testing/oracle.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/core/incremental.h"
 #include "src/core/report_formats.h"
@@ -101,12 +102,13 @@ std::string JoinFingerprints(const std::set<std::string>& set) {
 // `block`; index == insts.size() is the block's end.
 using Point = std::pair<BlockId, size_t>;
 
-// Visits every point from which some CFG path reaches one of `targets` before
-// any instruction that `stops(block, index)` holds for: breadth-first over
-// points, against the direction of flow.
-template <typename StopFn, typename VisitFn>
-void ForEachPointReaching(const IrFunction& func, const std::vector<Point>& targets,
-                          StopFn stops, VisitFn visit) {
+// Visits every point that some CFG path connects with one of `targets`
+// without crossing an instruction that `stops(block, index)` holds for:
+// breadth-first over points, with the flow for kForward (the points the
+// targets reach) and against it for kBackward (the points reaching them).
+template <Direction kDir, typename StopFn, typename VisitFn>
+void ForEachConnectedPoint(const IrFunction& func, const std::vector<Point>& targets,
+                           StopFn stops, VisitFn visit) {
   std::vector<std::vector<bool>> seen(func.blocks.size());
   for (const auto& block : func.blocks) {
     seen[block->id].assign(block->insts.size() + 1, false);
@@ -124,113 +126,299 @@ void ForEachPointReaching(const IrFunction& func, const std::vector<Point>& targ
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const auto [b, i] = queue[head];
-    if (i > 0) {
-      if (!stops(b, i - 1)) {
-        reach(b, i - 1);
+    const BasicBlock& block = *func.blocks[b];
+    if constexpr (kDir == Direction::kForward) {
+      if (i < block.insts.size()) {
+        if (!stops(b, i)) {
+          reach(b, i + 1);
+        }
+        continue;
       }
-      continue;
-    }
-    for (BlockId pred : func.blocks[b]->preds) {
-      reach(pred, func.blocks[pred]->insts.size());
+      for (BlockId succ : block.succs) {
+        reach(succ, 0);
+      }
+    } else {
+      if (i > 0) {
+        if (!stops(b, i - 1)) {
+          reach(b, i - 1);
+        }
+        continue;
+      }
+      for (BlockId pred : block.preds) {
+        reach(pred, func.blocks[pred]->insts.size());
+      }
     }
   }
 }
 
-}  // namespace
-
-std::string CheckDataflowFacts(const IrFunction& func, const LivenessResult& liveness,
-                               const DefineSetResult& defines) {
-  const SlotId num_slots = func.slots.size();
-  // Gen and kill, read off each instruction's transfer. Liveness is
-  // f(X) = (X - kill) + gen, so gen = f({}) and the survivors are f(all). A
-  // DefineSet transfer only replaces: it defines s, ending every path, where
-  // f({}) has an entry for s.
-  SlotSet all_slots(num_slots);
-  for (SlotId s = 0; s < num_slots; ++s) {
-    all_slots.Add(s);
-  }
-  struct Effects {
-    SlotSet gen;
-    SlotSet survivors;
-    DefineMap defined;
-  };
-  std::vector<std::vector<Effects>> effects(func.blocks.size());
+// Calls fn(block, index, inst) for every instruction of `func`.
+template <typename Fn>
+void ForEachInstruction(const IrFunction& func, Fn fn) {
   for (const auto& block : func.blocks) {
-    for (const Instruction& inst : block->insts) {
-      Effects e{SlotSet(num_slots), all_slots, DefineMap()};
-      ApplyLivenessTransfer(func, inst, e.gen);
-      ApplyLivenessTransfer(func, inst, e.survivors);
-      ApplyDefineTransfer(func, inst, e.defined);
-      effects[block->id].push_back(std::move(e));
+    for (size_t i = 0; i < block->insts.size(); ++i) {
+      fn(block->id, i, block->insts[i]);
     }
   }
+}
 
-  // The facts by path search, slot by slot: s is live where a path reaches a
-  // use of s before a kill; s's DefineSet holds each store of s from the
-  // points whose paths reach it before any other store of s.
+// `slot`, plus its field slots when it is a struct variable's whole slot: a
+// whole-struct load or store reads or writes every field. Found by scanning
+// the slot table, independently of SlotLayout.
+std::set<SlotId> SlotAndFields(const IrFunction& func, SlotId slot) {
+  std::set<SlotId> slots = {slot};
+  const Slot& whole = func.slots[slot];
+  if (whole.var == nullptr || whole.IsFieldSlot() || whole.var->type == nullptr ||
+      !whole.var->type->IsStruct()) {
+    return slots;
+  }
+  for (SlotId other = 0; other < func.slots.size(); ++other) {
+    if (func.slots[other].var == whole.var && func.slots[other].IsFieldSlot()) {
+      slots.insert(other);
+    }
+  }
+  return slots;
+}
+
+// The entry point of every block without predecessors, where the paths of a
+// forward must analysis start.
+std::vector<Point> Starts(const IrFunction& func) {
+  std::vector<Point> starts;
+  for (const auto& block : func.blocks) {
+    if (block->preds.empty()) {
+      starts.push_back({block->id, 0});
+    }
+  }
+  return starts;
+}
+
+using PlainDefines = std::map<SlotId, std::set<SourceLoc>>;
+using PlainPending = std::set<std::pair<SlotId, SourceLoc>>;
+
+std::set<SlotId> Materialize(const SlotSet& slots) {
+  std::set<SlotId> out;
+  slots.ForEach([&](int id) { out.insert(id); });
+  return out;
+}
+
+PlainDefines MaterializeDefines(const SlotLayout& layout, const DefineMap& defs) {
+  PlainDefines out;
+  for (SlotId s = 0; s < layout.num_slots(); ++s) {
+    for (const SourceLoc& loc : layout.StoreLocs(defs, s)) {
+      out[s].insert(loc);
+    }
+  }
+  return out;
+}
+
+PlainPending MaterializePending(const SlotLayout& layout, const SlotSet& pending) {
+  PlainPending out;
+  for (SlotId s = 0; s < layout.num_slots(); ++s) {
+    for (const SourceLoc& loc : layout.StoreLocs(pending, s)) {
+      out.insert({s, loc});
+    }
+  }
+  return out;
+}
+
+std::string Disagreement(const char* fact, const IrFunction& func, BlockId b, size_t index) {
+  return std::string(fact) + " of " + func.name + " disagree with path search at block " +
+         std::to_string(b) + " point " + std::to_string(index) + "/" +
+         std::to_string(func.blocks[b]->insts.size());
+}
+
+}  // namespace
+
+std::string CheckDataflowFacts(const SlotLayout& layout, const LivenessResult& liveness,
+                               const DefineSetResult& defines) {
+  const IrFunction& func = layout.func();
+  // The facts by path search, slot by slot, in plain sets: s is live where a
+  // path reaches a use of s (a load or address-take of s or of its struct)
+  // before a store that kills it; s's DefineSet holds each store of s from
+  // the points whose paths reach it before any other store of s.
   struct Facts {
-    SlotSet live;
-    DefineMap defs;
+    std::set<SlotId> live;
+    PlainDefines defs;
   };
   std::vector<std::vector<Facts>> paths(func.blocks.size());
   for (const auto& block : func.blocks) {
-    paths[block->id].assign(block->insts.size() + 1, Facts{SlotSet(num_slots), DefineMap()});
+    paths[block->id].resize(block->insts.size() + 1);
   }
-  for (SlotId s = 0; s < num_slots; ++s) {
-    std::vector<Point> uses;
-    std::vector<Point> stores;
-    for (const auto& block : func.blocks) {
-      for (size_t i = 0; i < block->insts.size(); ++i) {
-        const Effects& e = effects[block->id][i];
-        if (e.gen.Contains(s)) {
-          uses.push_back({block->id, i});
-        }
-        if (e.defined.Find(s) != nullptr) {
-          stores.push_back({block->id, i});
-        }
+  std::map<SlotId, std::vector<Point>> uses;
+  std::map<SlotId, std::vector<Point>> stores;
+  std::set<std::pair<Point, SlotId>> kills;
+  ForEachInstruction(func, [&](BlockId b, size_t i, const Instruction& inst) {
+    if (inst.op == Opcode::kLoad || inst.op == Opcode::kAddrSlot) {
+      for (SlotId s : SlotAndFields(func, inst.slot)) {
+        uses[s].push_back({b, i});
       }
+    } else if (inst.op == Opcode::kStore) {
+      for (SlotId s : SlotAndFields(func, inst.slot)) {
+        kills.insert({{b, i}, s});
+      }
+      stores[inst.slot].push_back({b, i});
     }
-    auto kills = [&](BlockId b, size_t i) { return !effects[b][i].survivors.Contains(s); };
-    ForEachPointReaching(func, uses, kills, [&](BlockId b, size_t i) { paths[b][i].live.Add(s); });
-    auto defines = [&](BlockId b, size_t i) { return effects[b][i].defined.Find(s) != nullptr; };
-    for (const auto& [store_block, store_index] : stores) {
-      const std::vector<SourceLoc>& locs = *effects[store_block][store_index].defined.Find(s);
-      ForEachPointReaching(func, {{store_block, store_index}}, defines,
-                           [&](BlockId b, size_t i) {
-                             for (const SourceLoc& loc : locs) {
-                               DefineMap one;
-                               one.Replace(s, loc);
-                               paths[b][i].defs.UnionWith(one);
-                             }
-                           });
+  });
+  for (const auto& [s, points] : uses) {
+    ForEachConnectedPoint<Direction::kBackward>(
+        func, points, [&](BlockId b, size_t i) { return kills.count({{b, i}, s}) > 0; },
+        [&](BlockId b, size_t i) { paths[b][i].live.insert(s); });
+  }
+  for (const auto& [s, points] : stores) {
+    const std::set<Point> defining(points.begin(), points.end());
+    for (const Point& store : points) {
+      const SourceLoc loc = func.blocks[store.first]->insts[store.second].loc;
+      ForEachConnectedPoint<Direction::kBackward>(
+          func, {store}, [&](BlockId b, size_t i) { return defining.count({b, i}) > 0; },
+          [&](BlockId b, size_t i) { paths[b][i].defs[s].insert(loc); });
     }
   }
 
   // The solver's facts: block boundaries from the results, the points inside
-  // a block from the replay the detector uses.
+  // a block from the replay the detector uses, each materialized into the
+  // plain sets.
   std::string failure;
-  auto compare = [&](BlockId b, size_t index, const Facts& solved) {
+  auto compare = [&](BlockId b, size_t index, const SlotSet& live, const DefineMap& defs) {
+    if (!failure.empty()) {
+      return;
+    }
     const Facts& path = paths[b][index];
-    if (failure.empty() && (!(solved.live == path.live) || !(solved.defs == path.defs))) {
-      failure = std::string(solved.live == path.live ? "DefineSets" : "liveness") + " of " +
-                func.name + " disagree with path search at block " + std::to_string(b) +
-                " point " + std::to_string(index) + "/" +
-                std::to_string(func.blocks[b]->insts.size());
+    if (Materialize(live) != path.live) {
+      failure = Disagreement("liveness", func, b, index);
+    } else if (MaterializeDefines(layout, defs) != path.defs) {
+      failure = Disagreement("DefineSets", func, b, index);
+    }
+  };
+  struct State {
+    SlotSet live;
+    DefineMap defs;
+  };
+  for (const auto& block : func.blocks) {
+    const BlockId b = block->id;
+    compare(b, 0, liveness.live_in[b], defines.in[b]);
+    size_t index = block->insts.size();
+    State point{liveness.live_out[b], defines.out[b]};
+    WalkBlock<Direction::kBackward>(
+        *block, point,
+        [&layout](const Instruction& inst, State& state) {
+          ApplyLivenessTransfer(layout, inst, state.live);
+          ApplyDefineTransfer(layout, inst, state.defs);
+        },
+        [&](const Instruction&, const State& state) {
+          compare(b, index--, state.live, state.defs);
+        });
+    compare(b, 0, point.live, point.defs);
+  }
+  return failure;
+}
+
+std::string CheckPendingStoreFacts(const SlotLayout& layout, const PendingStores& analysis,
+                                   const std::vector<SlotSet>& in,
+                                   const std::vector<SlotSet>& out) {
+  const IrFunction& func = layout.func();
+  // The tracked slots, stated plainly: address-taken, non-global,
+  // non-synthetic whole locals.
+  std::set<SlotId> address_taken;
+  ForEachInstruction(func, [&](BlockId, size_t, const Instruction& inst) {
+    if (inst.op == Opcode::kAddrSlot) {
+      address_taken.insert(inst.slot);
+    }
+  });
+  std::vector<std::vector<PlainPending>> paths(func.blocks.size());
+  std::vector<std::vector<bool>> reachable(func.blocks.size());
+  for (const auto& block : func.blocks) {
+    paths[block->id].resize(block->insts.size() + 1);
+    reachable[block->id].assign(block->insts.size() + 1, false);
+  }
+  ForEachConnectedPoint<Direction::kForward>(
+      func, Starts(func), [](BlockId, size_t) { return false; },
+      [&](BlockId b, size_t i) { reachable[b][i] = true; });
+  for (SlotId x : address_taken) {
+    const Slot& slot = func.slots[x];
+    if (slot.var == nullptr || slot.var->is_global || slot.is_synthetic || slot.IsFieldSlot()) {
+      continue;
+    }
+    // x's events: a store to x, or a possible read of x (a load or
+    // address-take of x; a call or an indirect access, since x escaped).
+    auto store_at = [&](BlockId b, size_t i) -> const SourceLoc* {
+      const Instruction& inst = func.blocks[b]->insts[i];
+      return inst.op == Opcode::kStore && inst.slot == x ? &inst.loc : nullptr;
+    };
+    auto reads_at = [&](BlockId b, size_t i) {
+      const Instruction& inst = func.blocks[b]->insts[i];
+      switch (inst.op) {
+        case Opcode::kLoad:
+        case Opcode::kAddrSlot:
+          return inst.slot == x;
+        case Opcode::kCall:
+        case Opcode::kLoadInd:
+        case Opcode::kStoreInd:
+          return true;
+        default:
+          return false;
+      }
+    };
+    std::set<SourceLoc> locs;
+    ForEachInstruction(func, [&](BlockId b, size_t i, const Instruction&) {
+      if (const SourceLoc* loc = store_at(b, i)) {
+        locs.insert(*loc);
+      }
+    });
+    // L is pending at p when p is reachable and no path from a start reaches
+    // p with a last x-event other than the store L: the points such a path
+    // reaches are those connected, without crossing a store L, to a start or
+    // to the point after a reachable read or other store.
+    for (const SourceLoc& loc : locs) {
+      std::vector<Point> other_last = Starts(func);
+      ForEachInstruction(func, [&](BlockId b, size_t i, const Instruction&) {
+        const SourceLoc* stored = store_at(b, i);
+        if (reachable[b][i] && (reads_at(b, i) || (stored != nullptr && *stored != loc))) {
+          other_last.push_back({b, i + 1});
+        }
+      });
+      std::vector<std::vector<bool>> pending = reachable;
+      ForEachConnectedPoint<Direction::kForward>(
+          func, other_last,
+          [&](BlockId b, size_t i) {
+            const SourceLoc* stored = store_at(b, i);
+            return stored != nullptr && *stored == loc;
+          },
+          [&](BlockId b, size_t i) { pending[b][i] = false; });
+      for (const auto& block : func.blocks) {
+        for (size_t i = 0; i <= block->insts.size(); ++i) {
+          if (pending[block->id][i]) {
+            paths[block->id][i].insert({x, loc});
+          }
+        }
+      }
+    }
+  }
+
+  // The solver's facts: both block boundaries, and the replay inside every
+  // block a start reaches. A block no start reaches stayed TOP, which the
+  // solver stores as empty, as the path search finds it.
+  std::string failure;
+  auto compare = [&](BlockId b, size_t index, const SlotSet& solved) {
+    if (failure.empty() && MaterializePending(layout, solved) != paths[b][index]) {
+      failure = Disagreement("pending stores", func, b, index);
     }
   };
   for (const auto& block : func.blocks) {
     const BlockId b = block->id;
-    compare(b, 0, Facts{liveness.live_in[b], defines.in[b]});
-    size_t index = block->insts.size();
-    Facts point{liveness.live_out[b], defines.out[b]};
-    WalkBlock<Direction::kBackward>(
+    const size_t end = block->insts.size();
+    compare(b, 0, in[b]);
+    compare(b, end, out[b]);
+    if (!reachable[b][0]) {
+      continue;
+    }
+    size_t index = 0;
+    SlotSet point = in[b];
+    WalkBlock<Direction::kForward>(
         *block, point,
-        [&func](const Instruction& inst, Facts& f) {
-          ApplyLivenessTransfer(func, inst, f.live);
-          ApplyDefineTransfer(func, inst, f.defs);
+        [&analysis](const Instruction& inst, SlotSet& pending) {
+          analysis.Transfer(inst, pending);
         },
-        [&](const Instruction&, const Facts& f) { compare(b, index--, f); });
-    compare(b, 0, point);
+        [&](const Instruction&, const SlotSet& pending) { compare(b, index++, pending); });
+    compare(b, end, point);
   }
   return failure;
 }
@@ -574,8 +762,16 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
   if (Enabled(OracleKind::kDataflow)) {
     for (const auto& module : base.owned_project->modules()) {
       for (const auto& func : module->functions) {
-        std::string failure =
-            CheckDataflowFacts(*func, ComputeLiveness(*func), ComputeDefineSets(*func));
+        const SlotLayout layout(*func);
+        const LivenessResult liveness = ComputeLiveness(layout);
+        std::string failure = CheckDataflowFacts(layout, liveness, ComputeDefineSets(layout));
+        if (failure.empty()) {
+          const PendingStores analysis(layout, liveness.address_taken);
+          std::vector<SlotSet> in;
+          std::vector<SlotSet> out;
+          analysis.Solve(in, out, nullptr);
+          failure = CheckPendingStoreFacts(layout, analysis, in, out);
+        }
         if (!failure.empty()) {
           verdict.failures.push_back({OracleKind::kDataflow, "", failure});
           return verdict;

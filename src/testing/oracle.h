@@ -22,8 +22,9 @@
 //                       engine yields, at every commit, exactly the findings
 //                       and raw candidates a full run over the truncated
 //                       repository yields
-//   dataflow          — every function's liveness and DefineSets equal, at
-//                       every point, what a CFG path search re-derives
+//   dataflow          — every function's liveness, DefineSets and
+//                       double-overwrite pending stores equal, at every
+//                       point, what a CFG path search re-derives
 //
 // OracleOptions::parallel_fault is the harness's own test hook: a corruption
 // applied to parallel (jobs > 1) reports before comparison, simulating a
@@ -40,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "src/checkers/double_overwrite.h"
 #include "src/core/analysis.h"
 #include "src/dataflow/define_sets.h"
 #include "src/dataflow/liveness.h"
@@ -130,14 +132,27 @@ class OracleRunner {
   OracleOptions options_;
 };
 
-// The dataflow oracle's check, at every program point of `func` (points
-// inside a block through the solver's replay): s is live exactly when some
-// CFG path reaches a use of s with no kill in between, and s's DefineSet is
-// exactly the stores of s such paths reach first. Gen and kill come from the
-// single-instruction transfers; only the propagation is re-derived, by path
-// search. Returns "" when every fact agrees, else the first disagreement.
-std::string CheckDataflowFacts(const IrFunction& func, const LivenessResult& liveness,
+// The dataflow oracle's check, at every program point of the layout's
+// function (points inside a block through the solver's replay): s is live
+// exactly when some CFG path reaches a use of s with no kill in between, and
+// s's DefineSet is exactly the stores of s such paths reach first. The uses,
+// kills and stores are restated from the IR and the facts re-derived by path
+// search into std::set/std::map, then compared with the solver's states
+// materialized the same way, so the check shares no set code with the
+// kernel. Returns "" when every fact agrees, else the first disagreement.
+std::string CheckDataflowFacts(const SlotLayout& layout, const LivenessResult& liveness,
                                const DefineSetResult& defines);
+
+// The pending-store oracle for double-overwrite's must analysis: a store L
+// to a tracked slot x is pending at point p exactly when p is reachable from
+// a block without predecessors and every such path has L as its last
+// x-event (a store to x, or a load, address-take, call or indirect access
+// that may read it); points no start reaches are empty, the solver's TOP
+// rule. Checks `in`/`out` (PendingStores::Solve's states) at both block
+// boundaries and every point inside a reachable block through the replay.
+std::string CheckPendingStoreFacts(const SlotLayout& layout, const PendingStores& analysis,
+                                   const std::vector<SlotSet>& in,
+                                   const std::vector<SlotSet>& out);
 
 // Canned parallel fault: parallel runs lose every overwritten-definition
 // finding — the shape of a real slot-merge bug. Used by --inject-bug and the

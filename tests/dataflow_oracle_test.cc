@@ -1,9 +1,11 @@
-// Path-reachability oracle for the dataflow solver: every liveness and
-// DefineSet fact the solver (and its replay) produces, at every program point
-// of every function, must equal the fact re-derived by searching CFG paths
-// (src/testing/oracle.h, CheckDataflowFacts). Covers small generated
-// functions, every checked-in C file, and the oracle's own power to notice a
-// wrong fact.
+// Path-reachability oracles for the dataflow solver: every liveness,
+// DefineSet and double-overwrite pending-store fact the solver (and its
+// replay) produces, at every program point of every function, must equal the
+// fact re-derived by searching CFG paths (src/testing/oracle.h,
+// CheckDataflowFacts and CheckPendingStoreFacts). Covers small generated
+// functions, every checked-in C file (tests/data/wide_function.c spills every
+// bitset past its first word), and the oracles' own power to notice a wrong
+// fact.
 
 #include <gtest/gtest.h>
 
@@ -21,13 +23,28 @@ namespace vc {
 namespace testing {
 namespace {
 
+struct Pending {
+  std::vector<SlotSet> in;
+  std::vector<SlotSet> out;
+};
+
+Pending SolvePending(const PendingStores& analysis) {
+  Pending pending;
+  analysis.Solve(pending.in, pending.out, nullptr);
+  return pending;
+}
+
 // Checks every function of `project`; returns the number checked.
 int ExpectFactsAgree(const Project& project, const std::string& what) {
   int checked = 0;
   for (const auto& module : project.modules()) {
     for (const auto& func : module->functions) {
-      EXPECT_EQ(CheckDataflowFacts(*func, ComputeLiveness(*func), ComputeDefineSets(*func)), "")
-          << what;
+      const SlotLayout layout(*func);
+      const LivenessResult liveness = ComputeLiveness(layout);
+      EXPECT_EQ(CheckDataflowFacts(layout, liveness, ComputeDefineSets(layout)), "") << what;
+      const PendingStores analysis(layout, liveness.address_taken);
+      const Pending pending = SolvePending(analysis);
+      EXPECT_EQ(CheckPendingStoreFacts(layout, analysis, pending.in, pending.out), "") << what;
       ++checked;
     }
   }
@@ -105,8 +122,9 @@ TEST(DataflowOracle, LoopFunctionAgrees) {
 TEST(DataflowOracle, NoticesAWrongLiveSet) {
   Project project = Build(kLoopSource);
   const IrFunction& func = *project.modules()[0]->functions[0];
-  const LivenessResult liveness = ComputeLiveness(func);
-  const DefineSetResult defines = ComputeDefineSets(func);
+  const SlotLayout layout(func);
+  const LivenessResult liveness = ComputeLiveness(layout);
+  const DefineSetResult defines = ComputeDefineSets(layout);
   int corrupted = 0;
   for (size_t b = 0; b < func.blocks.size(); ++b) {
     for (SlotId s = 0; s < func.slots.size(); ++s) {
@@ -115,7 +133,7 @@ TEST(DataflowOracle, NoticesAWrongLiveSet) {
       }
       LivenessResult wrong = liveness;
       wrong.live_out[b].Remove(s);
-      EXPECT_NE(CheckDataflowFacts(func, wrong, defines), "")
+      EXPECT_NE(CheckDataflowFacts(layout, wrong, defines), "")
           << "dropping '" << func.slots[s].name << "' from block " << b << "'s live-out";
       ++corrupted;
     }
@@ -126,18 +144,75 @@ TEST(DataflowOracle, NoticesAWrongLiveSet) {
 TEST(DataflowOracle, NoticesAWrongDefineSet) {
   Project project = Build(kLoopSource);
   const IrFunction& func = *project.modules()[0]->functions[0];
-  const LivenessResult liveness = ComputeLiveness(func);
-  const DefineSetResult defines = ComputeDefineSets(func);
+  const SlotLayout layout(func);
+  const LivenessResult liveness = ComputeLiveness(layout);
+  const DefineSetResult defines = ComputeDefineSets(layout);
   int corrupted = 0;
   for (size_t b = 0; b < func.blocks.size(); ++b) {
     for (SlotId s = 0; s < func.slots.size(); ++s) {
-      if (defines.in[b].Find(s) == nullptr) {
-        continue;
+      const StoreRange range = layout.Stores(s);
+      defines.in[b].ForEachInRange(range.begin, range.end, [&](StoreId id) {
+        DefineSetResult wrong = defines;
+        wrong.in[b].Remove(id);
+        EXPECT_NE(CheckDataflowFacts(layout, liveness, wrong), "")
+            << "dropping a store of '" << func.slots[s].name << "' from block " << b
+            << "'s DefineSet";
+        ++corrupted;
+      });
+    }
+  }
+  EXPECT_GT(corrupted, 0);
+}
+
+// Two address-taken locals with stores on both arms of a branch and around a
+// loop: x's first store is overwritten on every path, y's only on one.
+constexpr const char* kPendingSource =
+    "int use(int *p);\n"
+    "int f(int n, int c) {\n"
+    "  int x = 0;\n"
+    "  int y = 0;\n"
+    "  use(&x);\n"
+    "  use(&y);\n"
+    "  x = 1;\n"
+    "  y = 1;\n"
+    "  if (c) {\n"
+    "    x = 2;\n"
+    "    y = 2;\n"
+    "  } else {\n"
+    "    x = 3;\n"
+    "  }\n"
+    "  while (n > 0) {\n"
+    "    x = n;\n"
+    "    n = n - 1;\n"
+    "  }\n"
+    "  return use(&x) + use(&y);\n"
+    "}\n";
+
+TEST(DataflowOracle, PendingStoresAgree) {
+  Project project = Build(kPendingSource);
+  ASSERT_EQ(project.diags().ErrorCount(), 0);
+  EXPECT_EQ(ExpectFactsAgree(project, "pending"), 1);
+}
+
+TEST(DataflowOracle, NoticesAWrongPendingSet) {
+  Project project = Build(kPendingSource);
+  const IrFunction& func = *project.modules()[0]->functions[0];
+  const SlotLayout layout(func);
+  const PendingStores analysis(layout, ComputeLiveness(layout).address_taken);
+  const Pending pending = SolvePending(analysis);
+  ASSERT_EQ(CheckPendingStoreFacts(layout, analysis, pending.in, pending.out), "");
+  int corrupted = 0;
+  for (size_t b = 0; b < func.blocks.size(); ++b) {
+    // Drop a pending store, or add one that is not pending.
+    for (StoreId id = 0; id < layout.num_stores(); ++id) {
+      Pending wrong = pending;
+      if (wrong.in[b].Contains(id)) {
+        wrong.in[b].Remove(id);
+      } else {
+        wrong.in[b].Add(id);
       }
-      DefineSetResult wrong = defines;
-      wrong.in[b].Replace(s, SourceLoc());
-      EXPECT_NE(CheckDataflowFacts(func, liveness, wrong), "")
-          << "replacing '" << func.slots[s].name << "' in block " << b << "'s DefineSet";
+      EXPECT_NE(CheckPendingStoreFacts(layout, analysis, wrong.in, wrong.out), "")
+          << "flipping store " << id << " in block " << b << "'s pending set";
       ++corrupted;
     }
   }

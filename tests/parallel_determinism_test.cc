@@ -17,6 +17,7 @@
 #include "src/corpus/profile.h"
 #include "src/support/metrics.h"
 #include "src/support/trace.h"
+#include "src/testing/corpusgen.h"
 #include "src/testing/history_gen.h"
 
 namespace vc {
@@ -198,6 +199,37 @@ TEST(ParallelDeterminism, ExplicitCheckerListMatchesDefaultRun) {
   AnalysisReport via_spelled = Analysis(spelled).RunOnRepository(app.repo);
   EXPECT_EQ(via_spelled.ToCsv(), via_default.ToCsv());
   EXPECT_EQ(via_spelled.checkers, via_default.checkers);
+}
+
+TEST(ParallelDeterminism, BaselineClangFindingsInDeclarationOrderAcrossJobs) {
+  // baseline-clang once emitted a function's findings in VarDecl address
+  // order, which follows the parse workers' heaps: its CSV rows then
+  // differed between job counts and builds.
+  testing::CorpusProfile profile;
+  ASSERT_TRUE(testing::MakeCorpusProfile("linux-like", "small", 1, &profile));
+  profile.files = 120;
+  const std::vector<std::pair<std::string, std::string>> sources =
+      testing::GenerateCorpusSources(profile);
+  std::string expected;
+  for (int jobs : {1, 2, 8}) {
+    AnalysisOptions options = WithJobs(jobs);
+    options.checkers = {"baseline-clang"};
+    AnalysisReport report = Analysis(options).RunOnSources(sources);
+    ASSERT_GT(report.raw_candidates.size(), 10u) << "jobs=" << jobs;
+    for (size_t i = 1; i < report.raw_candidates.size(); ++i) {
+      const UnusedDefCandidate& prev = report.raw_candidates[i - 1];
+      const UnusedDefCandidate& cand = report.raw_candidates[i];
+      if (prev.file == cand.file && prev.function == cand.function) {
+        EXPECT_FALSE(cand.def_loc < prev.def_loc)
+            << cand.function << ": " << cand.slot_name << " reported after " << prev.slot_name;
+      }
+    }
+    if (jobs == 1) {
+      expected = Fingerprint(report);
+    } else {
+      EXPECT_EQ(Fingerprint(report), expected) << "jobs=" << jobs;
+    }
+  }
 }
 
 TEST(ParallelDeterminism, JsonReportCarriesSchemaV4Metadata) {

@@ -207,7 +207,7 @@ TEST_P(DetectorProperty, ReportsExactlyTheDeadStores) {
 
   for (const auto& module : project.modules()) {
     for (const auto& func : module->functions) {
-      SlotSet taken = ComputeAddressTaken(*func);
+      SlotSet taken = ComputeAddressTaken(SlotLayout(*func));
       for (const auto& block : func->blocks) {
         for (size_t i = 0; i < block->insts.size(); ++i) {
           const Instruction& inst = block->insts[i];
@@ -245,7 +245,7 @@ TEST_P(DetectorProperty, ParamCandidatesMatchEntryReachability) {
   std::vector<UnusedDefCandidate> candidates = DetectAll(project);
   for (const auto& module : project.modules()) {
     for (const auto& func : module->functions) {
-      SlotSet taken = ComputeAddressTaken(*func);
+      SlotSet taken = ComputeAddressTaken(SlotLayout(*func));
       for (SlotId param : func->param_slots) {
         if (taken.Contains(param)) {
           continue;

@@ -149,10 +149,12 @@ checker_smoke() {
   echo "checker smoke: ok"
 }
 
-# Differential fuzz smoke: a fixed-seed vc_fuzz campaign (~200 generated
+# Differential fuzz smoke: a fixed-seed vc_fuzz campaign (up to 200 generated
 # programs, every oracle: parse cleanliness, --jobs determinism, metrics
-# parity, JSON round-trip, metamorphic fingerprint stability). Time-boxed to
-# 30s so sanitizer-slowed builds stop at the budget instead of timing out.
+# parity, JSON round-trip, metamorphic fingerprint stability, dataflow path
+# search, ...). Time-boxed to 30s so sanitizer-slowed builds stop at the
+# budget instead of timing out; the ok line says how many programs ran, and a
+# shortfall line says so when the budget ended the campaign early.
 fuzz_smoke() {
   local name="$1"
   local build_dir="$2"
@@ -160,13 +162,27 @@ fuzz_smoke() {
   local corpus
   corpus="$(mktemp -d)"
   trap 'rm -rf "${corpus}"; trap - RETURN' RETURN
-  if ! "${build_dir}/tools/vc_fuzz" --seed 42 --iters 200 --time-budget 30 \
-      --quiet --corpus-dir "${corpus}"; then
+  local programs=200
+  local out rc=0
+  out="$("${build_dir}/tools/vc_fuzz" --seed 42 --iters "${programs}" --time-budget 30 \
+      --quiet --corpus-dir "${corpus}")" || rc=$?
+  printf '%s\n' "${out}"
+  if [ "${rc}" -ne 0 ]; then
     echo "fuzz smoke: oracle failures — reproducers:" >&2
     find "${corpus}" -name MANIFEST.txt -exec cat {} \; >&2
     return 1
   fi
-  echo "fuzz smoke: ok"
+  # The campaign stops at its time budget; say how many programs that left.
+  local ran
+  ran="$(sed -n 's/^vc_fuzz: \([0-9]*\) iteration(s).*/\1/p' <<<"${out}")"
+  if [ -z "${ran}" ]; then
+    echo "fuzz smoke: vc_fuzz printed no campaign summary" >&2
+    return 1
+  fi
+  if [ "${ran}" -lt "${programs}" ]; then
+    echo "fuzz smoke: shortfall: the 30 s time budget allowed ${ran} of ${programs} programs"
+  fi
+  echo "fuzz smoke: ok (${ran} of ${programs} programs)"
 }
 
 # Self-diff smoke: analyze the examples corpus twice into a fresh ledger and
