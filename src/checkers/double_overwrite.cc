@@ -102,7 +102,8 @@ std::vector<UnusedDefCandidate> DoubleOverwriteChecker::Check(CheckerContext& ct
             kills.push_back({inst.slot, {killed_loc, inst.loc}});
           }
         });
-      });
+      },
+      ctx.meter());
 
   std::sort(kills.begin(), kills.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });

@@ -40,8 +40,6 @@ class DepGraph {
   // the project (externs) still propagate to their callers.
   std::set<std::string> DirtyClosure(const std::set<std::string>& changed) const;
 
-  const std::set<std::string>& alias_affected() const { return alias_affected_; }
-
  private:
   std::map<std::string, std::set<std::string>> callees_;  // f -> names f calls
   std::map<std::string, std::set<std::string>> callers_;  // f -> names calling f

@@ -1,6 +1,8 @@
 #include "src/core/incremental.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "src/checkers/driver.h"
@@ -81,55 +83,88 @@ std::string MakeCacheConfigKey(const AnalysisOptions& options) {
 
 IncrementalEngine::IncrementalEngine(AnalysisOptions options, IncrementalOptions inc)
     : analysis_(std::move(options)),
-      inc_(std::move(inc)),
-      cache_(inc_.cache_dir, MakeCacheConfigKey(analysis_.options())) {}
+      cache_(inc.cache_dir, MakeCacheConfigKey(analysis_.options())) {}
 
-void IncrementalEngine::Ingest(const Repository& source, CommitId commit) {
-  while (repo_.NumAuthors() < source.NumAuthors()) {
-    repo_.AddAuthor(source.GetAuthor(repo_.NumAuthors()).name);
-  }
-  const Commit& c = source.GetCommit(commit);
-  repo_.AddCommit(c.author, c.timestamp, c.message, c.files, c.deleted);
-  for (const auto& [path, content] : c.files) {
-    pending_.insert(path);
-  }
-  for (const std::string& path : c.deleted) {
-    pending_.insert(path);
-  }
-}
-
-void IncrementalEngine::ApplyCommit(const Repository& source, CommitId commit) {
+IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, CommitId commit) {
   if (commit < 0 || commit >= source.NumCommits()) {
     throw std::out_of_range("IncrementalEngine: commit " + std::to_string(commit) +
                             " not in source repository");
   }
-  while (next_commit() <= commit) {
-    Ingest(source, next_commit());
-  }
-}
-
-IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, CommitId commit) {
-  const AnalysisOptions& opt = analysis_.options();
-  PipelineRun run(opt.collect_metrics);
+  PipelineRun run(options().collect_metrics);
   TraceSpan commit_span("incremental.commit", "pipeline");
   commit_span.Arg("commit", static_cast<int64_t>(commit));
-  IncrementalResult result;
+
+  // Ingest every commit through `commit` into the replica; the paths they
+  // touch, at the replica's new head, are the change set.
+  std::set<std::string> touched;
+  while (repo_.NumAuthors() < source.NumAuthors()) {
+    repo_.AddAuthor(source.GetAuthor(repo_.NumAuthors()).name);
+  }
+  while (repo_.NumCommits() <= commit) {
+    const Commit& c = source.GetCommit(repo_.NumCommits());
+    repo_.AddCommit(c.author, c.timestamp, c.message, c.files, c.deleted);
+    for (const auto& [path, content] : c.files) {
+      touched.insert(path);
+    }
+    touched.insert(c.deleted.begin(), c.deleted.end());
+  }
+  std::vector<PathChange> changes;
+  for (const std::string& path : touched) {
+    changes.emplace_back(path, repo_.FindHead(path));
+  }
+  IncrementalResult result = Sync(changes, &repo_, run);
   result.commit = commit;
+  return result;
+}
 
-  ApplyCommit(source, commit);
+IncrementalResult IncrementalEngine::AnalyzeSnapshot(const Sources& sources) {
+  PipelineRun run(options().collect_metrics);
+  TraceSpan snapshot_span("incremental.snapshot", "pipeline");
+  return Sync(SnapshotChanges(sources), nullptr, run);
+}
 
-  // --- Parse stage: sync the persistent project with the replica's head ----
+std::vector<IncrementalEngine::PathChange> IncrementalEngine::SnapshotChanges(
+    const Sources& sources) const {
+  std::map<std::string_view, const std::string*> snapshot;
+  for (const auto& [path, content] : sources) {
+    if (!snapshot.emplace(path, &content).second) {
+      throw std::invalid_argument("snapshot repeats path " + path);
+    }
+  }
+  const SourceManager& sm = project_.sources();
+  std::vector<PathChange> changes;
+  for (size_t slot : project_.unit_order()) {
+    const std::string& path = sm.Path(static_cast<FileId>(slot));
+    if (snapshot.count(path) == 0) {
+      changes.emplace_back(path, nullptr);  // deleted
+    }
+  }
+  for (const auto& [path, content] : snapshot) {
+    const FileId file = sm.FindByPath(path);
+    if (file == kInvalidFileId || !project_.IsLive(file) || sm.Content(file) != *content) {
+      changes.emplace_back(path, content);
+    }
+  }
+  std::sort(changes.begin(), changes.end());
+  return changes;
+}
+
+IncrementalResult IncrementalEngine::Sync(const std::vector<PathChange>& changes,
+                                          const Repository* repo, PipelineRun& run) {
+  const AnalysisOptions& opt = analysis_.options();
+  IncrementalResult result;
+
+  // --- Parse stage: apply the changes to the persistent project -------------
   std::set<std::string> changed_functions;        // dirty-closure seed
   std::vector<QuarantinedUnit> cache_quarantine;  // corrupt disk entries
-  // (path, FileId) of every recompiled file, in pending (sorted) order.
+  // (path, FileId) of every recompiled file, in change (sorted) order.
   std::vector<std::pair<std::string, FileId>> reparsed;
   std::set<std::string> disk_restored;
-  result.files_changed = static_cast<int>(pending_.size());
+  result.files_changed = static_cast<int>(changes.size());
   {
     StageScope stage(run, PipelineStage::kParse);
-    for (const std::string& path : pending_) {
-      const std::string* head = repo_.FindHead(path);
-      if (head == nullptr) {
+    for (const auto& [path, content] : changes) {
+      if (content == nullptr) {
         // Deleted (or never-created) path: tombstone and forget.
         if (auto it = file_functions_.find(path); it != file_functions_.end()) {
           changed_functions.insert(it->second.begin(), it->second.end());
@@ -139,7 +174,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
         cache_.Remove(path);
         continue;
       }
-      const uint64_t hash = HashContent(*head);
+      const uint64_t hash = HashContent(*content);
       FileCacheEntry& entry = cache_.File(path);
       if (entry.content_hash == hash) {
         // Byte-identical content (touch, revert): parsed TU, IR, and every
@@ -156,7 +191,7 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
         changed_functions.insert(it->second.begin(), it->second.end());
       }
       FileId file =
-          project_.UpsertFile(path, *head, opt.config, &opt.fault, &opt.budget);
+          project_.UpsertFile(path, *content, opt.config, &opt.fault, &opt.budget);
       entry.content_hash = hash;
       entry.functions.clear();
       FileCacheEntry loaded;
@@ -166,12 +201,11 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
       }
       reparsed.emplace_back(path, file);
     }
-    pending_.clear();
     result.files_reparsed = static_cast<int>(reparsed.size());
     project_.FinishUpdate();
 
     // Post-compile bookkeeping for recompiled files: record the new function
-    // names (dirty seed + the next commit's "old names") and rebind any
+    // names (dirty seed + the next sync's "old names") and rebind any
     // disk-restored results against the fresh IR.
     for (const auto& [path, file] : reparsed) {
       const auto& module = project_.modules()[file];
@@ -293,9 +327,9 @@ IncrementalResult IncrementalEngine::AnalyzeCommit(const Repository& source, Com
   }
 
   // --- Every later stage runs in full over the assembled candidate set -----
-  AnalysisReport report = analysis_.RunWithDetect(project_, &repo_, std::move(detect), run);
+  AnalysisReport report = analysis_.RunWithDetect(project_, repo, std::move(detect), run);
 
-  // Fingerprint-keyed delta against the previous analyzed commit.
+  // Fingerprint-keyed delta against the previous sync.
   std::set<std::string> fingerprints;
   for (const UnusedDefCandidate& finding : report.findings) {
     fingerprints.insert(finding.fingerprint);

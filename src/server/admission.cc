@@ -35,9 +35,6 @@ AdmissionController::Outcome AdmissionController::Enter() {
   });
   --queued_;
   if (draining_) {
-    if (inflight_ == 0 && queued_ == 0) {
-      idle_.notify_all();
-    }
     return Outcome::kShedDraining;
   }
   ++inflight_;
@@ -51,28 +48,17 @@ void AdmissionController::Leave() {
   std::lock_guard<std::mutex> lock(mutex_);
   --inflight_;
   slot_free_.notify_one();
-  if (inflight_ == 0 && queued_ == 0) {
-    idle_.notify_all();
-  }
 }
 
 void AdmissionController::BeginDrain() {
   std::lock_guard<std::mutex> lock(mutex_);
   draining_ = true;
   slot_free_.notify_all();
-  if (inflight_ == 0 && queued_ == 0) {
-    idle_.notify_all();
-  }
 }
 
 bool AdmissionController::draining() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return draining_;
-}
-
-void AdmissionController::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return inflight_ == 0 && queued_ == 0; });
 }
 
 int64_t AdmissionController::RetryAfterMs() const {

@@ -54,9 +54,6 @@ class AdmissionController {
   void BeginDrain();
   bool draining() const;
 
-  // Blocks until no request is in flight or queued (drain completion).
-  void WaitIdle();
-
   // Suggested client back-off when shedding: one mean service time per
   // waiter ahead of the client, floored at 10ms. Monotone in load, so
   // loadgen's backoff scales with actual pressure.
@@ -77,7 +74,6 @@ class AdmissionController {
   Options options_;
   mutable std::mutex mutex_;
   std::condition_variable slot_free_;
-  std::condition_variable idle_;
   int inflight_ = 0;
   int queued_ = 0;
   int inflight_hwm_ = 0;

@@ -167,12 +167,6 @@ bool ServeClient::ReceiveFrame(std::string* payload, std::string* error,
   return false;
 }
 
-void ServeClient::CloseSend() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_WR);
-  }
-}
-
 void ServeClient::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

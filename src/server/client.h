@@ -36,8 +36,7 @@ class ServeClient {
   bool ReceiveFrame(std::string* payload, std::string* error,
                     double timeout_seconds = 30.0);
 
-  // Half-close the write side (server sees EOF) / hard-close the socket.
-  void CloseSend();
+  // Hard-closes the socket.
   void Close();
   bool connected() const { return fd_ >= 0; }
   int fd() const { return fd_; }

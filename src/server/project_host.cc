@@ -1,8 +1,7 @@
 #include "src/server/project_host.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
 
 namespace vc {
 
@@ -22,8 +21,8 @@ std::vector<std::string> SortedFingerprints(const AnalysisReport& report) {
 
 }  // namespace
 
-ProjectHost::ProjectHost(std::string name, AnalysisOptions base, size_t history_limit)
-    : name_(std::move(name)), base_(std::move(base)), history_limit_(history_limit) {}
+ProjectHost::ProjectHost(std::string name, AnalysisOptions base)
+    : name_(std::move(name)), base_(std::move(base)) {}
 
 ProjectAnalyzeOutcome ProjectHost::Analyze(
     const std::vector<std::pair<std::string, std::string>>& sources,
@@ -31,105 +30,73 @@ ProjectAnalyzeOutcome ProjectHost::Analyze(
   std::lock_guard<std::mutex> lock(mutex_);
   ProjectAnalyzeOutcome outcome;
 
-  // Snapshot in sorted path order — the same order the batch CLI's directory
-  // walk feeds RunOnSources, so slot ids (and with them merge order and CSV
-  // bytes) line up between daemon and batch.
-  std::map<std::string, std::string> snapshot(sources.begin(), sources.end());
-
-  // Delta against the replica head.
-  std::map<std::string, std::string> changed;
-  std::set<std::string> deleted;
-  for (const std::string& path : repo_.ListFiles()) {
-    auto it = snapshot.find(path);
-    if (it == snapshot.end()) {
-      deleted.insert(path);
-    }
-  }
-  for (const auto& [path, content] : snapshot) {
-    const std::string* head = repo_.FindHead(path);
-    if (head == nullptr || *head != content) {
-      changed[path] = content;
-    }
-  }
-  const bool snapshot_unchanged =
-      changed.empty() && deleted.empty() && repo_.NumCommits() > 0;
-
   const std::string key = MakeCacheConfigKey(options);
-  if (snapshot_unchanged && engine_ != nullptr && key == engine_key_ &&
-      last_report_ != nullptr) {
+  const bool same_snapshot = engine_ != nullptr && engine_->IsLiveSnapshot(sources);
+  if (same_snapshot && key == engine_key_) {
     // Identical snapshot under an identical configuration: the previous
     // report IS this request's report (jobs never changes results).
-    outcome.report = *last_report_;
+    outcome.report = last_report_;
     outcome.cached = true;
-    outcome.commit = repo_.NumCommits() - 1;
+    outcome.commit = snapshot_;
     return outcome;
+  }
+  if (!same_snapshot) {
+    ++snapshot_;
   }
 
   if (engine_ == nullptr || key != engine_key_) {
     // A different checker set / budget / fault spec invalidates carried
     // detect results wholesale; rebuild rather than risk stale carry-over.
-    // The fresh engine replays the replica's commit history by itself.
+    // The fresh engine analyzes the request's snapshot cold.
+    outcome.rebuilt_engine = engine_ != nullptr;
+    engine_rebuilds_ += outcome.rebuilt_engine ? 1 : 0;
     engine_ = std::make_unique<IncrementalEngine>(options);
     engine_key_ = key;
-    if (repo_.NumCommits() > 0) {
-      ++engine_rebuilds_;
-      outcome.rebuilt_engine = true;
-    }
   }
-
-  if (!snapshot_unchanged || repo_.NumCommits() == 0) {
-    if (serve_author_ == kInvalidAuthor) {
-      serve_author_ = repo_.AddAuthor("serve");
-    }
-    // Deterministic timestamp: the per-project request ordinal, so replica
-    // history (and everything derived from it) is reproducible run to run.
-    repo_.AddCommit(serve_author_, request_ordinal_,
-                    "serve snapshot " + std::to_string(request_ordinal_),
-                    std::move(changed), std::move(deleted));
-  }
-  ++request_ordinal_;
 
   engine_->set_jobs(options.jobs);
-  const CommitId head = static_cast<CommitId>(repo_.NumCommits() - 1);
-  IncrementalResult result = engine_->AnalyzeCommit(repo_, head);
+  IncrementalResult result;
+  try {
+    result = engine_->AnalyzeSnapshot(sources);
+  } catch (...) {
+    // A sync that threw may have left the project half-updated: the next
+    // request starts from a fresh engine.
+    engine_.reset();
+    throw;
+  }
 
-  outcome.report = result.report;
-  outcome.commit = head;
+  outcome.commit = snapshot_;
   outcome.files_changed = result.files_changed;
   outcome.functions_dirty = result.functions_dirty;
   outcome.findings_new = result.findings_new;
   outcome.findings_fixed = result.findings_fixed;
 
-  last_report_ = std::make_shared<AnalysisReport>(result.report);
+  previous_fingerprints_ = SortedFingerprints(last_report_);
+  last_report_ = std::move(result.report);
+  outcome.report = last_report_;
   ++analyses_;
 
   ProjectRunSummary summary;
-  summary.commit = head;
-  summary.request_ordinal = request_ordinal_ - 1;
-  summary.findings = static_cast<int>(result.report.findings.size());
-  summary.degraded = result.report.degraded;
-  summary.quarantined = static_cast<int>(result.report.quarantined.size());
+  summary.commit = snapshot_;
+  summary.findings = static_cast<int>(last_report_.findings.size());
+  summary.degraded = last_report_.degraded;
+  summary.quarantined = static_cast<int>(last_report_.quarantined.size());
   summary.files_changed = result.files_changed;
   summary.functions_dirty = result.functions_dirty;
   summary.findings_new = result.findings_new;
   summary.findings_fixed = result.findings_fixed;
   summary.seconds = result.seconds;
-  summary.fingerprints = SortedFingerprints(result.report);
-  summary.checker_stats = result.report.checker_stats;
+  summary.checker_stats = last_report_.checker_stats;
   history_.push_back(std::move(summary));
-  while (history_.size() > history_limit_) {
+  if (history_.size() > kHistoryRuns) {
     history_.pop_front();
   }
   return outcome;
 }
 
-std::vector<ProjectRunSummary> ProjectHost::History(size_t limit) const {
+std::vector<ProjectRunSummary> ProjectHost::History() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ProjectRunSummary> out;
-  for (auto it = history_.rbegin(); it != history_.rend() && out.size() < limit; ++it) {
-    out.push_back(*it);
-  }
-  return out;
+  return {history_.rbegin(), history_.rend()};
 }
 
 bool ProjectHost::Latest(ProjectRunSummary* out) const {
@@ -144,11 +111,11 @@ bool ProjectHost::Latest(ProjectRunSummary* out) const {
 bool ProjectHost::Diff(std::vector<std::string>* added,
                        std::vector<std::string>* removed) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (history_.size() < 2) {
+  if (analyses_ < 2) {
     return false;
   }
-  const std::vector<std::string>& prev = history_[history_.size() - 2].fingerprints;
-  const std::vector<std::string>& now = history_.back().fingerprints;
+  const std::vector<std::string>& prev = previous_fingerprints_;
+  const std::vector<std::string> now = SortedFingerprints(last_report_);
   added->clear();
   removed->clear();
   std::set_difference(now.begin(), now.end(), prev.begin(), prev.end(),
@@ -156,11 +123,6 @@ bool ProjectHost::Diff(std::vector<std::string>* added,
   std::set_difference(prev.begin(), prev.end(), now.begin(), now.end(),
                       std::back_inserter(*removed));
   return true;
-}
-
-int64_t ProjectHost::analyses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return analyses_;
 }
 
 int64_t ProjectHost::engine_rebuilds() const {

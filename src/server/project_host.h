@@ -1,25 +1,26 @@
 // Warm per-project analysis state for the serve daemon (DESIGN.md §19).
 //
 // A ProjectHost is the daemon-side identity of one client project (a TPC-C
-// "warehouse"): it owns a Repository replica whose commits are the project's
-// analyzed snapshots, an IncrementalEngine kept warm across requests, and a
-// bounded in-memory history of analysis summaries that the diff/history/
-// report methods answer from without re-running anything.
+// "warehouse"): an IncrementalEngine kept warm across requests, whose
+// persistent project IS the live snapshot, and a ring of the last
+// kHistoryRuns analysis summaries that diff/history/report answer from
+// without re-running anything. No stage reads history in the repo-less
+// sources mode the daemon analyzes in, so the host keeps no repository;
+// its state is O(live snapshot + kHistoryRuns summaries).
 //
 // Equivalence contract (locked by tests/server_test.cc at jobs 1/2/8): an
 // analyze response's findings are byte-identical to a batch
 // `valuecheck analyze` over the same sources with the same checker set. The
-// host therefore analyzes with the batch sources-mode option shape
-// (cross_scope_only off, ranking off — no real authorship exists for pasted
-// sources) while still commit-feeding the engine, whose carry-over machinery
-// is itself proven byte-identical to full runs (DESIGN.md §18).
+// host analyzes with the batch sources-mode option shape through the
+// engine's snapshot entry, itself proven equal to Analysis::RunOnSources.
 //
 // Request flow per analyze:
-//   snapshot == head, same config  -> cached response (no analysis)
-//   otherwise                      -> synthetic commit (full-snapshot diff
-//                                     against head) -> engine AnalyzeCommit
+//   snapshot == live, same config  -> cached response (no analysis)
+//   otherwise                      -> engine AnalyzeSnapshot
 //   config key changed             -> engine rebuilt (correctness over
-//                                     warmth), then fed as above
+//                                     warmth); it analyzes the snapshot cold
+// A response's `commit` is the distinct snapshot's index: 0 for the first,
+// +1 whenever a request's snapshot differs from the live one.
 //
 // Thread safety: all public methods serialize on a per-host mutex, so two
 // clients analyzing the same warehouse never interleave engine state; hosts
@@ -32,21 +33,18 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
-#include "src/vcs/repository.h"
 
 namespace vc {
 
-// One past analysis, summarized for diff/history/report answers.
+// One past analysis, summarized for history/report answers.
 struct ProjectRunSummary {
-  int64_t commit = -1;        // replica commit analyzed (-1: cached repeat)
-  int64_t request_ordinal = 0;
+  int64_t commit = -1;        // index of the analyzed snapshot
   int findings = 0;
   bool degraded = false;
   int quarantined = 0;
@@ -55,7 +53,6 @@ struct ProjectRunSummary {
   int findings_new = 0;
   int findings_fixed = 0;
   double seconds = 0.0;
-  std::vector<std::string> fingerprints;  // finding identity set at the commit
   std::vector<AnalysisReport::CheckerStat> checker_stats;
 };
 
@@ -72,9 +69,12 @@ struct ProjectAnalyzeOutcome {
 
 class ProjectHost {
  public:
-  // `base` supplies everything a request doesn't override (config, traits,
-  // prune/rank toggles). `history_limit` bounds the summary ring.
-  ProjectHost(std::string name, AnalysisOptions base, size_t history_limit = 64);
+  // The summary ring's bound, which is also how many runs History returns.
+  static constexpr size_t kHistoryRuns = 16;
+
+  // `base` is the daemon's base configuration; Analyze receives it already
+  // folded into each request's options, so the host does not read it.
+  ProjectHost(std::string name, AnalysisOptions base);
 
   const std::string& name() const { return name_; }
 
@@ -85,8 +85,8 @@ class ProjectHost {
       const std::vector<std::pair<std::string, std::string>>& sources,
       const AnalysisOptions& options);
 
-  // Most recent summaries, newest first, up to `limit`.
-  std::vector<ProjectRunSummary> History(size_t limit) const;
+  // The ring's summaries, newest first.
+  std::vector<ProjectRunSummary> History() const;
 
   // Newest summary; false when the project was never analyzed.
   bool Latest(ProjectRunSummary* out) const;
@@ -95,21 +95,18 @@ class ProjectHost {
   // fewer than two analyses exist.
   bool Diff(std::vector<std::string>* added, std::vector<std::string>* removed) const;
 
-  int64_t analyses() const;
   int64_t engine_rebuilds() const;
 
  private:
   const std::string name_;
   const AnalysisOptions base_;
-  const size_t history_limit_;
 
   mutable std::mutex mutex_;
-  Repository repo_;               // authoritative snapshot history
-  AuthorId serve_author_ = kInvalidAuthor;
-  std::unique_ptr<IncrementalEngine> engine_;
+  std::unique_ptr<IncrementalEngine> engine_;  // its project is the live snapshot
   std::string engine_key_;        // MakeCacheConfigKey of the live engine
-  std::shared_ptr<AnalysisReport> last_report_;  // for cached replays
-  int64_t request_ordinal_ = 0;   // deterministic commit timestamps
+  AnalysisReport last_report_;    // newest analysis, for cached replays and diff
+  std::vector<std::string> previous_fingerprints_;  // sorted, the analysis before it
+  int64_t snapshot_ = -1;         // index of the live snapshot
   int64_t analyses_ = 0;
   int64_t engine_rebuilds_ = 0;
   std::deque<ProjectRunSummary> history_;

@@ -1,5 +1,7 @@
 #include "src/server/request.h"
 
+#include <set>
+
 #include "src/support/json_reader.h"
 #include "src/support/json_writer.h"
 
@@ -68,10 +70,17 @@ bool ParseServeRequest(const std::string& payload, ServeRequest* out, std::strin
       *error = "\"sources\" must be an array";
       return false;
     }
+    std::set<std::string> paths;
     for (const JsonValue& entry : sources.Items()) {
       std::string path = entry.GetString("path");
       if (path.empty()) {
         *error = "source entry has no \"path\"";
+        return false;
+      }
+      if (!paths.insert(path).second) {
+        // A snapshot holds one content per path; a batch run has no way to
+        // read two.
+        *error = "\"sources\" repeats path \"" + path + "\"";
         return false;
       }
       out->sources.emplace_back(std::move(path), entry.GetString("content"));

@@ -405,9 +405,7 @@ AnalysisOptions AnalysisServer::OptionsFor(const ServeRequest& request) const {
   // `valuecheck analyze DIR` does, which is what the equivalence test pins.
   options.cross_scope_only = false;
   options.ranking.enabled = false;
-  // The synthetic per-request commit log exists for incrementality, not
-  // provenance; classifying against it would diverge from the repo-less batch
-  // run (single-author blame downgrades candidate kinds).
+  // No stage reads history: the host keeps no repository.
   options.authorship = false;
   options.checkers = request.checkers;
   options.jobs = request.jobs;
@@ -435,8 +433,7 @@ ProjectHost& AnalysisServer::HostFor(const std::string& project) {
   std::lock_guard<std::mutex> lock(hosts_mutex_);
   std::unique_ptr<ProjectHost>& slot = hosts_[project];
   if (slot == nullptr) {
-    slot = std::make_unique<ProjectHost>(project, options_.analysis,
-                                         options_.history_limit);
+    slot = std::make_unique<ProjectHost>(project, options_.analysis);
   }
   return *slot;
 }
@@ -511,7 +508,7 @@ std::string AnalysisServer::HandleProjectQuery(const ServeRequest& request) {
     json.EndArray();
   } else if (request.method == ServeMethod::kHistory) {
     json.Key("runs").BeginArray();
-    for (const ProjectRunSummary& run : host.History(16)) {
+    for (const ProjectRunSummary& run : host.History()) {
       json.BeginObject();
       json.Int("commit", run.commit);
       json.Int("findings", run.findings);

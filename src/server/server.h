@@ -60,8 +60,6 @@ struct ServerOptions {
   double idle_read_timeout_seconds = 30.0;
   // Deadline applied when a request carries none (0 = unlimited).
   double default_deadline_ms = 0.0;
-  // Per-project summary ring size (history/diff/report answers).
-  size_t history_limit = 64;
   // Honor the request debug_sleep_ms field. Tests only: lets a request hold
   // an execution slot deterministically to provoke queueing and shedding.
   bool allow_debug_sleep = false;

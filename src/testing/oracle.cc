@@ -721,20 +721,26 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
 
   if (Enabled(OracleKind::kIncrementalEquivalence)) {
     // Replay the program as a history (one commit per file, then an edit
-    // appending a probe function to the first file) and hold the incremental
-    // engine to full-run equivalence at every commit. Serial plus the widest
-    // job count — the jobs_determinism oracle already covers the middle.
+    // appending a probe function to the first file) and hold each commit to
+    // a full run. Feed the snapshot entry the program cold, the edit, a
+    // delete of the edited file and its re-add, and hold each snapshot to a
+    // sources-mode run. Serial plus the widest job count — the
+    // jobs_determinism oracle already covers the middle.
+    using Sources = std::vector<std::pair<std::string, std::string>>;
     Repository repo;
     AuthorId author = repo.AddAuthor("fuzz");
     int64_t timestamp = 1'650'000'000;
-    std::vector<std::pair<std::string, std::string>> sources = program.ToSources();
+    const Sources sources = program.ToSources();
     for (const auto& [path, content] : sources) {
       repo.AddCommit(author, timestamp += 60, "add " + path, {{path, content}});
     }
-    repo.AddCommit(author, timestamp += 60, "probe edit",
-                   {{sources.front().first,
-                     sources.front().second +
-                         "\nint inc_probe(int z) {\n  int w = z + 1;\n  return w;\n}\n"}});
+    Sources probed = sources;
+    // The first store to w is dead, so the edit shows in every report.
+    probed.front().second +=
+        "\nint inc_probe(int z) {\n  int w = z + 1;\n  w = z + 2;\n  return w;\n}\n";
+    repo.AddCommit(author, timestamp += 60, "probe edit", {probed.front()});
+    const std::vector<Sources> snapshots = {sources, probed,
+                                            Sources(sources.begin() + 1, sources.end()), sources};
 
     std::set<int> job_counts = {jobs.front(), jobs.back()};
     for (int job_count : job_counts) {
@@ -743,17 +749,31 @@ OracleVerdict OracleRunner::Check(const TestProgram& program) const {
       options.cross_scope_only = false;
       options.jobs = job_count;
       IncrementalEngine engine(options);
+      IncrementalEngine snapshot_engine(options);
       Analysis full(options);
-      bool diverged = false;
-      for (CommitId commit = 0; commit < repo.NumCommits() && !diverged; ++commit) {
-        IncrementalResult result = engine.AnalyzeCommit(repo, commit);
-        AnalysisReport fresh = full.RunOnRepository(repo.PrefixCopy(commit));
-        if (SerializeFindings(result.report) != SerializeFindings(fresh)) {
-          verdict.failures.push_back(
-              {OracleKind::kIncrementalEquivalence, "",
-               "incremental report diverges from the full run at commit " +
-                   std::to_string(commit) + " (jobs " + std::to_string(job_count) + ")"});
-          diverged = true;
+      // False (with a recorded failure) when `result` differs from `fresh`.
+      auto same = [&](const IncrementalResult& result, const AnalysisReport& fresh,
+                      const std::string& where) {
+        if (SerializeFindings(result.report) == SerializeFindings(fresh)) {
+          return true;
+        }
+        verdict.failures.push_back({OracleKind::kIncrementalEquivalence, "",
+                                    "incremental report diverges from the full run at " +
+                                        where + " (jobs " + std::to_string(job_count) + ")"});
+        return false;
+      };
+      for (CommitId commit = 0; commit < repo.NumCommits(); ++commit) {
+        if (!same(engine.AnalyzeCommit(repo, commit), full.RunOnRepository(repo.PrefixCopy(commit)),
+                  "commit " + std::to_string(commit))) {
+          break;
+        }
+      }
+      for (size_t i = 0; i < snapshots.size(); ++i) {
+        Sources sorted = snapshots[i];
+        std::sort(sorted.begin(), sorted.end());
+        if (!same(snapshot_engine.AnalyzeSnapshot(snapshots[i]), full.RunOnSources(sorted),
+                  "snapshot " + std::to_string(i))) {
+          break;
         }
       }
     }

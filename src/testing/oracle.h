@@ -21,7 +21,10 @@
 //                       history (plus a final edit) through the incremental
 //                       engine yields, at every commit, exactly the findings
 //                       and raw candidates a full run over the truncated
-//                       repository yields
+//                       repository yields; feeding the engine's snapshot
+//                       entry the program, an edit, a delete and a re-add
+//                       yields, at every snapshot, what a sources-mode run
+//                       over it yields
 //   dataflow          — every function's liveness, DefineSets and
 //                       double-overwrite pending stores equal, at every
 //                       point, what a CFG path search re-derives

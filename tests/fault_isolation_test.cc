@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/checkers/checker_context.h"
+#include "src/checkers/double_overwrite.h"
 #include "src/core/analysis.h"
 
 namespace vc {
@@ -259,6 +261,52 @@ TEST(FaultIsolation, GenerousDetectBudgetChangesNothing) {
   AnalysisReport budgeted = RunWith(SampleSources(), 2, FaultInjector(), budget);
   EXPECT_FALSE(budgeted.degraded);
   EXPECT_EQ(Fingerprints(budgeted), Fingerprints(clean));
+}
+
+TEST(FaultIsolation, DoubleOverwriteReplayIsCharged) {
+  // An address-taken local stored twice with no read in between: the one
+  // shape double-overwrite tracks, so its kill replay really runs.
+  const Sources sources = {{"d.c",
+                            "int d(int a) {\n"
+                            "  int x;\n"
+                            "  int *p = &x;\n"
+                            "  x = a;\n"
+                            "  x = a + 1;\n"
+                            "  return *p;\n"
+                            "}\n"}};
+  // The checker's charge up to its replay: the liveness pass behind
+  // address_taken() plus the must-pending solve.
+  Project project = Project::FromSources(sources);
+  const IrFunction& func = *project.modules()[0]->functions[0];
+  BudgetMeter meter{ResourceBudget()};
+  CheckerContext ctx(project, 0, func, &meter);
+  const PendingStores pending(ctx.layout(), ctx.address_taken());
+  ASSERT_TRUE(pending.TracksAny());
+  std::vector<SlotSet> in;
+  std::vector<SlotSet> out;
+  pending.Solve(in, out, &meter);
+  uint64_t replay = 0;  // Replay charges insts + 1 per block
+  for (const auto& block : func.blocks) {
+    replay += block->insts.size() + 1;
+  }
+
+  AnalysisOptions options;
+  options.checkers = {"double-overwrite"};
+  options.cross_scope_only = false;
+  // A limit between the charge without the replay and the charge with it:
+  // only a charged replay pushes the function over.
+  options.budget.detect_step_limit = meter.steps();
+  AnalysisReport report = Analysis(options).RunOnSources(sources);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].function, "d");
+  EXPECT_EQ(report.quarantined[0].checker, "double-overwrite");
+  EXPECT_NE(report.quarantined[0].reason.find("step budget exceeded"), std::string::npos);
+
+  // The full charge fits exactly, and the kill is reported.
+  options.budget.detect_step_limit = meter.steps() + replay;
+  report = Analysis(options).RunOnSources(sources);
+  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_EQ(report.raw_candidates.size(), 1u);
 }
 
 }  // namespace

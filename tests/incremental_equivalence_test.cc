@@ -8,17 +8,25 @@
 // The synthesized histories come from src/testing/history_gen.h, which emits
 // exactly those shapes by construction; the hand-written history below pins
 // each shape individually so a battery failure localizes.
+//
+// The snapshot entry (the serve daemon's) is held to a sources-mode run over
+// each path-sorted snapshot, and its files_changed to the true delta.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/incremental.h"
 #include "src/testing/history_gen.h"
+#include "src/testing/testgen.h"
 
 namespace vc {
 namespace {
@@ -180,6 +188,107 @@ TEST(IncrementalEquivalence, DiskCacheColdRestartStaysEquivalent) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+using Sources = std::vector<std::pair<std::string, std::string>>;
+
+std::string QuarantineKey(const AnalysisReport& report) {
+  std::string out;
+  for (const QuarantinedUnit& unit : report.quarantined) {
+    out += unit.path + "|" + unit.function + "|" + unit.stage + "|" + unit.reason + "|" +
+           unit.checker + "\n";
+  }
+  return out;
+}
+
+// Paths whose content differs between two snapshots, or that only one holds.
+int TrueDelta(const Sources& before, const Sources& after) {
+  const std::map<std::string, std::string> old_files(before.begin(), before.end());
+  const std::map<std::string, std::string> new_files(after.begin(), after.end());
+  int delta = 0;
+  for (const auto& [path, content] : new_files) {
+    auto it = old_files.find(path);
+    delta += it == old_files.end() || it->second != content ? 1 : 0;
+  }
+  for (const auto& [path, content] : old_files) {
+    delta += new_files.count(path) == 0 ? 1 : 0;
+  }
+  return delta;
+}
+
+TEST(IncrementalEquivalence, SnapshotSequenceMatchesSourcesRuns) {
+  testing::GenOptions gen;
+  gen.min_files = 4;
+  gen.max_files = 4;
+  gen.ident_prefix = "snap_";
+  gen.file_prefix = "snap/";
+  const Sources pristine = testing::GenerateProgram(21, gen).ToSources();
+  Sources edited = pristine;
+  edited[1].second +=
+      "\nint snap_edit(int a) {\n  int x;\n  x = a + 1;\n  int y;\n  y = x * 2;\n"
+      "  return x;\n}\n";
+  Sources added = edited;
+  added.push_back({"snap/aa_new.c", "int snap_new(int a) {\n  int q = a;\n  q = a + 2;\n"
+                                    "  return q;\n}\n"});
+  Sources deleted = added;
+  deleted.erase(deleted.begin() + 2);
+
+  struct Step {
+    const char* name;
+    const Sources* sources;
+    std::vector<std::string> checkers;
+  };
+  const std::vector<std::string> two_checkers = {"unused-def", "double-overwrite"};
+  const std::vector<Step> steps = {
+      {"cold", &pristine, {}},         {"edit", &edited, {}},
+      {"add", &added, {}},             {"delete", &deleted, {}},
+      {"revert", &pristine, {}},       {"unchanged repeat", &pristine, {}},
+      {"checker-set change", &pristine, two_checkers},
+  };
+
+  for (int jobs : {1, 2, 8}) {
+    AnalysisOptions options;
+    options.cross_scope_only = false;
+    options.ranking.enabled = false;
+    options.authorship = false;
+    options.jobs = jobs;
+    options.fault = FaultInjector(5, 0.1);  // non-empty quarantine lists
+    std::unique_ptr<IncrementalEngine> engine;
+    Sources live;
+    bool quarantined_any = false;
+    for (const Step& step : steps) {
+      options.checkers = step.checkers;
+      if (engine == nullptr || engine->options().checkers != step.checkers) {
+        // A different checker set needs a fresh engine, as the daemon's host
+        // rebuilds one: it analyzes the snapshot cold.
+        engine = std::make_unique<IncrementalEngine>(options);
+        live.clear();
+      }
+      // Any input order: the engine sorts by path like the batch walk.
+      const Sources fed(step.sources->rbegin(), step.sources->rend());
+      const int delta = TrueDelta(live, *step.sources);
+      EXPECT_EQ(engine->IsLiveSnapshot(fed), delta == 0) << step.name << ", jobs=" << jobs;
+      IncrementalResult result = engine->AnalyzeSnapshot(fed);
+      Sources sorted = *step.sources;
+      std::sort(sorted.begin(), sorted.end());
+      AnalysisReport fresh = Analysis(options).RunOnSources(sorted);
+      ASSERT_EQ(result.report.ToCsv(), fresh.ToCsv()) << step.name << ", jobs=" << jobs;
+      ASSERT_EQ(Fingerprints(result.report), Fingerprints(fresh)) << step.name;
+      ASSERT_EQ(QuarantineKey(result.report), QuarantineKey(fresh)) << step.name;
+      EXPECT_EQ(result.files_changed, delta) << step.name << ", jobs=" << jobs;
+      EXPECT_EQ(result.commit, kInvalidCommit);
+      quarantined_any = quarantined_any || !fresh.quarantined.empty();
+      live = *step.sources;
+    }
+    EXPECT_TRUE(quarantined_any) << "the fault seed must quarantine something";
+  }
+}
+
+TEST(IncrementalEquivalence, SnapshotWithRepeatedPathThrows) {
+  IncrementalEngine engine{AnalysisOptions{}};
+  const Sources sources = {{"a.c", "int f(void) { return 1; }\n"},
+                           {"a.c", "int f(void) { return 2; }\n"}};
+  EXPECT_THROW(engine.AnalyzeSnapshot(sources), std::invalid_argument);
 }
 
 }  // namespace

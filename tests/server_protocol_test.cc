@@ -199,6 +199,25 @@ TEST(ServeRequestParse, AnalyzeWithoutSourcesFails) {
                                  &request, &error));
 }
 
+TEST(ServeRequestParse, AnalyzeWithRepeatedSourcePathFails) {
+  // A snapshot holds one content per path: the second copy must not be
+  // silently dropped, since no batch run could read both.
+  ServeRequest request;
+  std::string error;
+  EXPECT_FALSE(ParseServeRequest(
+      R"({"id":"a","method":"analyze","project":"p","sources":[)"
+      R"({"path":"a.c","content":"int f(void) { return 1; }"},)"
+      R"({"path":"b.c","content":""},)"
+      R"({"path":"a.c","content":"int f(void) { return 2; }"}]})",
+      &request, &error));
+  EXPECT_NE(error.find("a.c"), std::string::npos) << error;
+  EXPECT_TRUE(ParseServeRequest(
+      R"({"id":"a","method":"analyze","project":"p","sources":[)"
+      R"({"path":"a.c","content":""},{"path":"b.c","content":""}]})",
+      &request, &error))
+      << error;
+}
+
 TEST(ServeRequestParse, ProjectRequiredExceptPingAndShutdown) {
   ServeRequest request;
   std::string error;

@@ -57,7 +57,7 @@ cli_smoke() {
   # command | every flag its --help must list | a malformed argument
   local specs=(
     "valuecheck analyze|--history --incremental --cache-dir --jobs --format --ledger --label --trace --profile --perf-report --events --metrics-out --progress --metrics --log-level --top --all-scopes --strict --fault-inject --define --no-prune-config --no-prune-cursor --no-prune-hints --no-prune-peer --stale-code --ea-model --checkers --list-checkers|--jobs=abc"
-    "valuecheck serve|--socket --port --max-inflight --max-queue --deadline-ms --idle-timeout --history-limit --jobs --ledger --label --metrics-out --events --allow-debug-sleep --log-level|--port=abc"
+    "valuecheck serve|--socket --port --max-inflight --max-queue --deadline-ms --idle-timeout --jobs --ledger --label --metrics-out --events --allow-debug-sleep --log-level|--port=abc"
     "valuecheck diff|--ledger --check --timings --format --max-new --stage-ratio --stage-floor --prune-drop|--max-new=abc"
     "valuecheck history|--ledger --limit --compact|--limit=abc"
     "valuecheck report|--ledger --html|--html"

@@ -825,17 +825,6 @@ vc::FlagTable ServeFlags(ServeArgs& out) {
                "drop a connection idle mid-frame this long\n"
                "(slow-loris guard; default 30)",
                vc::StoreDouble(out.server.idle_read_timeout_seconds)},
-              {"--history-limit", "N",
-               "per-project run summaries kept for diff/history\n"
-               "(default 64)",
-               [&out](const std::string& v) {
-                 int limit = 0;
-                 std::string complaint = vc::StoreInt(limit, 0)(v);
-                 if (complaint.empty()) {
-                   out.server.history_limit = static_cast<size_t>(limit);
-                 }
-                 return complaint;
-               }},
               {"--jobs", "N", "worker lanes for requests that don't set jobs",
                vc::StoreInt(out.server.analysis.jobs, 0)},
               {"--ledger", "DIR",
